@@ -79,7 +79,7 @@ def parse_job(command: str, document, n_flag=None) -> JobSpec:
     if not isinstance(document, dict):
         raise ParseError("the input document must be a JSON object")
     n = n_flag if n_flag is not None else document.get("n")
-    if n is not None and not isinstance(n, int):
+    if n is not None and type(n) is not int:  # bool is an int subclass; JSON true is not
         raise ParseError("'n' must be an integer")
 
     polynomial = None

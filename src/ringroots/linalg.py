@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MismatchError
-from .matrices import Matrix
+from .matrices import Matrix, _trusted
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ def rref(m: Matrix) -> RrefResult:
                 work[r] = [a - factor * b for a, b in zip(work[r], work[pivot_row])]
         pivots.append(col)
         pivot_row += 1
-    return RrefResult(Matrix(field, work), len(pivots), tuple(pivots))
+    return RrefResult(_trusted(field, tuple(map(tuple, work))), len(pivots), tuple(pivots))
 
 
 def rank(m: Matrix) -> int:
@@ -91,7 +91,7 @@ def nullspace_basis(m: Matrix) -> tuple[Matrix, ...]:
         v[free] = field.one
         for col, row in pivot_of_col.items():
             v[col] = -rr.rref[row, free]
-        basis.append(Matrix(field, [[e] for e in v]))
+        basis.append(_trusted(field, tuple((e,) for e in v)))
     return tuple(basis)
 
 
@@ -110,10 +110,10 @@ def _solve_columns(a: Matrix, b: Matrix):
     if len(left_pivots) != len(rr.pivot_columns):
         return False, None, len(left_pivots)
     field = a.field
-    solution = [[field.zero] * b.ncols for _ in range(a.ncols)]
+    solution = [(field.zero,) * b.ncols] * a.ncols
     for row_idx, col in enumerate(left_pivots):
-        solution[col] = list(rr.rref.entries[row_idx][split:])
-    return True, Matrix(field, solution), len(left_pivots)
+        solution[col] = rr.rref.entries[row_idx][split:]
+    return True, _trusted(field, tuple(solution)), len(left_pivots)
 
 
 def matrix_inverse(m: Matrix) -> Matrix | None:
@@ -174,5 +174,5 @@ def solve_stacked(blocks, rhs: Matrix) -> StackedSolveOutcome:
     parts = []
     for j in range(len(blocks)):
         part_rows = y.entries[j * k : (j + 1) * k]
-        parts.append(Matrix(rhs.field, part_rows).transpose())
+        parts.append(_trusted(rhs.field, part_rows).transpose())
     return StackedSolveOutcome(True, tuple(parts), dim)

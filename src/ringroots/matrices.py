@@ -3,6 +3,15 @@
 Shapes are checked on every operation; a mismatch raises instead of
 broadcasting.  Non-square shapes appear only inside the linear-algebra
 routines (stacked and augmented systems).
+
+Entries are validated once, at the boundary.  ``Matrix(...)``,
+``from_rows`` and ``from_json`` check every entry against the field, and
+ring descriptors check membership of whole matrices.  Every matrix the
+package computes itself (sums, products, transposes, stacks, the
+identity and zero matrices, eliminations, solutions, ring enumerations)
+is built from entries already known to be valid, so it goes through
+``_trusted``, which skips the per-entry check.  Products are delegated
+to the field descriptor's ``matmul``; over F_p it works on raw residues.
 """
 
 from __future__ import annotations
@@ -15,8 +24,7 @@ class Matrix:
 
     def __init__(self, field, entries):
         rows = tuple(tuple(row) for row in entries)
-        if not rows or not rows[0]:
-            raise MismatchError("a matrix needs at least one row and one column")
+        _check_size(len(rows), len(rows[0]) if rows else 0)
         width = len(rows[0])
         for row in rows:
             if len(row) != width:
@@ -34,13 +42,16 @@ class Matrix:
 
     @classmethod
     def identity(cls, field, k: int) -> "Matrix":
+        _check_size(k, k)
         one, zero = field.one, field.zero
-        return cls(field, [[one if i == j else zero for j in range(k)] for i in range(k)])
+        return _trusted(
+            field, tuple(tuple(one if i == j else zero for j in range(k)) for i in range(k))
+        )
 
     @classmethod
     def zeros(cls, field, nrows: int, ncols: int) -> "Matrix":
-        zero = field.zero
-        return cls(field, [[zero] * ncols for _ in range(nrows)])
+        _check_size(nrows, ncols)
+        return _trusted(field, ((field.zero,) * ncols,) * nrows)
 
     @property
     def nrows(self) -> int:
@@ -75,26 +86,26 @@ class Matrix:
 
     def __add__(self, other):
         self._check_same_shape(other)
-        return Matrix(
+        return _trusted(
             self.field,
-            [
-                [a + b for a, b in zip(ra, rb)]
+            tuple(
+                tuple(a + b for a, b in zip(ra, rb))
                 for ra, rb in zip(self.entries, other.entries)
-            ],
+            ),
         )
 
     def __sub__(self, other):
         self._check_same_shape(other)
-        return Matrix(
+        return _trusted(
             self.field,
-            [
-                [a - b for a, b in zip(ra, rb)]
+            tuple(
+                tuple(a - b for a, b in zip(ra, rb))
                 for ra, rb in zip(self.entries, other.entries)
-            ],
+            ),
         )
 
     def __neg__(self):
-        return Matrix(self.field, [[-a for a in row] for row in self.entries])
+        return _trusted(self.field, tuple(tuple(-a for a in row) for row in self.entries))
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -105,12 +116,7 @@ class Matrix:
             raise MismatchError(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
-        cols = [other.column(j) for j in range(other.ncols)]
-        product = [
-            [_dot(row, col) for col in cols]
-            for row in self.entries
-        ]
-        return Matrix(self.field, product)
+        return _trusted(self.field, self.field.matmul(self.entries, other.entries))
 
     def __pow__(self, n: int):
         if not self.is_square():
@@ -125,20 +131,20 @@ class Matrix:
         return result
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, list(zip(*self.entries)))
+        return _trusted(self.field, tuple(zip(*self.entries)))
 
     def stack(self, other: "Matrix") -> "Matrix":
         """Rows of `other` appended below the rows of `self`."""
         if self.field != other.field or self.ncols != other.ncols:
             raise MismatchError("stacking needs the same field and column count")
-        return Matrix(self.field, self.entries + other.entries)
+        return _trusted(self.field, self.entries + other.entries)
 
     def augment(self, other: "Matrix") -> "Matrix":
         """Columns of `other` appended to the right of `self`."""
         if self.field != other.field or self.nrows != other.nrows:
             raise MismatchError("augmenting needs the same field and row count")
-        return Matrix(
-            self.field, [ra + rb for ra, rb in zip(self.entries, other.entries)]
+        return _trusted(
+            self.field, tuple(ra + rb for ra, rb in zip(self.entries, other.entries))
         )
 
     def __bool__(self):
@@ -171,9 +177,19 @@ class Matrix:
         return f"Matrix([{rows}] over {self.field!r})"
 
 
-def _dot(row, col):
-    acc = None
-    for a, b in zip(row, col):
-        term = a * b
-        acc = term if acc is None else acc + term
-    return acc
+def _check_size(nrows: int, ncols: int):
+    if nrows < 1 or ncols < 1:
+        raise MismatchError("a matrix needs at least one row and one column")
+
+
+def _trusted(field, rows) -> Matrix:
+    """A matrix over `field` whose rows are already valid: a non-empty
+    tuple of equal-length, non-empty tuples of elements of `field`.
+
+    Only for results the package computes from validated matrices; input
+    from outside goes through ``Matrix(...)``, which checks every entry.
+    """
+    m = object.__new__(Matrix)
+    m.field = field
+    m.entries = rows
+    return m

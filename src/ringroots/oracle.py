@@ -3,18 +3,20 @@
 Exhaustive search is the independent referee for the rank criteria: over
 a matrix ring M_k(F_p) every coefficient tuple can be tried.  Since the
 constant term is forced once a_1..a_{n-1} are chosen (it must kill the
-first root), the search enumerates only those tuples, builds the full
-monic polynomial, and keeps it when it evaluates to zero at both roots.
+first root), the search enumerates only those tuples and keeps those for
+which both roots give the polynomial the same value.  The first witness
+is then checked by evaluating the full monic polynomial at both roots.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import DomainError
 from .existence import degree_n_existence, quadratic_existence
-from .matrices import Matrix
+from .matrices import Matrix, _trusted
 from .polynomials import Polynomial
 from .rings import MatrixRing, Ring
 from .scalars import PrimeField
@@ -35,18 +37,19 @@ class RingEnumeration:
     size: int
 
     def __iter__(self):
-        p = self.ring.field.p
+        field = self.ring.field
+        p = field.p
         k = self.ring.k
         cells = k * k
+        scalars = tuple(field.elements())
         for counter in range(self.size):
-            digits = []
+            entries = []
             v = counter
             for _ in range(cells):
-                digits.append(v % p)
+                entries.append(scalars[v % p])
                 v //= p
-            digits.reverse()
-            rows = [digits[i * k : (i + 1) * k] for i in range(k)]
-            yield Matrix.from_rows(self.ring.field, rows)
+            entries.reverse()
+            yield _trusted(field, tuple(tuple(entries[i * k : (i + 1) * k]) for i in range(k)))
 
 
 def enumerate_ring(ring: Ring, cap: int = DEFAULT_CAP) -> RingEnumeration:
@@ -79,6 +82,13 @@ def brute_force_exists(
     """
     ring.check(x1)
     ring.check(x2)
+    return _search(x1, x2, n, ring, _search_space(ring, n, cap))
+
+
+def _search_space(ring: Ring, n: int, cap: int) -> tuple[list, list]:
+    """All elements of `ring` in enumeration order, and the residue rows
+    of each, once the degree and the number of coefficient tuples pass
+    their checks."""
     if n < 2:
         raise DomainError("degree must be at least 2")
     enumeration = enumerate_ring(ring, cap)
@@ -87,28 +97,67 @@ def brute_force_exists(
             f"{enumeration.size ** (n - 1)} coefficient tuples, above the cap of {cap}"
         )
     elements = list(enumeration)
-    x1_powers = [ring.pow(x1, i) for i in range(n + 1)]
-    x2_powers = [ring.pow(x2, i) for i in range(n + 1)]
+    return elements, [_residue_rows(a) for a in elements]
+
+
+def _search(
+    x1: Matrix, x2: Matrix, n: int, ring: MatrixRing, space: tuple[list, list]
+) -> BruteForceResult:
+    """The search of `brute_force_exists` over `space`, the ring's
+    enumeration from `_search_space`.
+
+    A tuple works exactly when x2^n - x1^n + sum_i a_i (x2^i - x1^i) is
+    zero; a0 cancels from that difference.  Nothing in it but the a_i
+    changes from tuple to tuple, so the target and every product
+    a * (x2^i - x1^i) are computed once, as row-major lists of ints
+    left unreduced, and each tuple only adds them and tests every entry
+    mod p.
+    """
+    elements, element_rows = space
+    p = ring.field.p
+    x1_powers = _power_ladder(x1, n, ring)
+    x2_powers = _power_ladder(x2, n, ring)
+    target = [e.residue for row in (x2_powers[n] - x1_powers[n]).entries for e in row]
+    tables = []
+    for i in range(1, n):
+        diff_cols = list(zip(*_residue_rows(x2_powers[i] - x1_powers[i])))
+        tables.append([
+            [sum(map(mul, row, col)) for row in rows for col in diff_cols]
+            for rows in element_rows
+        ])
 
     count = 0
     witness = None
-    witness_a0 = None
-    for tup in itertools.product(elements, repeat=n - 1):
-        a0 = -x1_powers[n]
-        residual = x2_powers[n] - x1_powers[n]
-        for i, a in enumerate(tup, start=1):
-            a0 = a0 - a * x1_powers[i]
-            residual = residual + a * (x2_powers[i] - x1_powers[i])
-        if residual:
+    tuples = itertools.product(elements, repeat=n - 1)
+    for tup, terms in zip(tuples, itertools.product(*tables)):
+        if any(sum(entry) % p for entry in zip(target, *terms)):
             continue
         count += 1
         if witness is None:
-            witness, witness_a0 = tup, a0
-            poly = Polynomial(ring, [a0, *tup, ring.one])
-            for x in (x1, x2):
-                if not ring.is_zero(poly.evaluate(x)):
-                    raise RuntimeError("internal error: brute-force witness fails evaluation")
-    return BruteForceResult(count > 0, witness, witness_a0, count)
+            witness = tup
+    if witness is None:
+        return BruteForceResult(False, None, None, 0)
+
+    a0 = -x1_powers[n]
+    for i, a in enumerate(witness, start=1):
+        a0 = a0 - a * x1_powers[i]
+    poly = Polynomial(ring, [a0, *witness, ring.one])
+    for x in (x1, x2):
+        if not ring.is_zero(poly.evaluate(x)):
+            raise RuntimeError("internal error: brute-force witness fails evaluation")
+    return BruteForceResult(True, witness, a0, count)
+
+
+def _power_ladder(x: Matrix, n: int, ring: MatrixRing) -> list:
+    """[x^0, x^1, ..., x^n], each power one multiply from the last."""
+    powers = [ring.one, x]
+    while len(powers) <= n:
+        powers.append(powers[-1] * x)
+    return powers
+
+
+def _residue_rows(m: Matrix) -> list:
+    return [[e.residue for e in row] for row in m.entries]
 
 
 @dataclass(frozen=True)
@@ -157,16 +206,16 @@ def cross_check_criterion(ring: Ring, n: int, cap: int = DEFAULT_CAP) -> CrossCh
     """Compare the rank criterion against exhaustive search on all ordered
     pairs of distinct elements.  The disagreement list must come back
     empty; anything else is a bug in one of the two paths."""
-    elements = list(enumerate_ring(ring, cap))
+    space = _search_space(ring, n, cap)
     records = []
     disagreements = []
     exists_count = 0
-    for x1, x2 in itertools.permutations(elements, 2):
+    for x1, x2 in itertools.permutations(space[0], 2):
         if n == 2:
             report = quadratic_existence(x1, x2)
         else:
             report = degree_n_existence(x1, x2, n)
-        brute = brute_force_exists(x1, x2, n, ring, cap)
+        brute = _search(x1, x2, n, ring, space)
         record = PairRecord(
             x1, x2, report.exists, brute.exists, brute.count, report.solution_space_dim
         )

@@ -229,7 +229,7 @@ def ring_from_json(obj) -> Ring:
         return ScalarRing(field_from_json(obj.get("field")))
     if kind == "matrix":
         k = obj.get("k")
-        if not isinstance(k, int) or k < 1:
+        if type(k) is not int or k < 1:  # bool is an int subclass; JSON true is not
             raise ParseError(f"matrix ring descriptor needs an integer 'k' >= 1: {obj!r}")
         return MatrixRing(k, field_from_json(obj.get("field")))
     if kind == "quaternion":

@@ -9,6 +9,7 @@ of silently recombined.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .errors import DomainError, MismatchError, ParseError
 
@@ -141,6 +142,11 @@ class RationalField:
     def invert(self, x: Fraction):
         return None if x == 0 else 1 / x
 
+    def matmul(self, rows, other_rows) -> tuple:
+        """Entries of the product of two entry grids of matching shape."""
+        cols = tuple(zip(*other_rows))
+        return tuple(tuple(_dot(row, col) for col in cols) for row in rows)
+
     def scalar_to_json(self, x: Fraction) -> str:
         return str(x)
 
@@ -193,6 +199,19 @@ class PrimeField:
     def invert(self, x: PrimeFieldElement):
         return None if x.residue == 0 else x.inverse()
 
+    def matmul(self, rows, other_rows) -> tuple:
+        """Entries of the product of two entry grids of matching shape.
+
+        Each dot product runs on the int residues and is reduced mod p
+        once, when its single output element is built.
+        """
+        p = self.p
+        cols = [[e.residue for e in col] for col in zip(*other_rows)]
+        return tuple(
+            tuple(PrimeFieldElement(sum(map(mul, row, col)), p) for col in cols)
+            for row in ([e.residue for e in r] for r in rows)
+        )
+
     def elements(self):
         """All p field elements, in residue order."""
         return (PrimeFieldElement(r, self.p) for r in range(self.p))
@@ -213,6 +232,14 @@ class PrimeField:
         return f"PrimeField({self.p})"
 
 
+def _dot(row, col):
+    acc = None
+    for a, b in zip(row, col):
+        term = a * b
+        acc = term if acc is None else acc + term
+    return acc
+
+
 def field_from_json(obj) -> RationalField | PrimeField:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ParseError(f"bad field descriptor: {obj!r}")
@@ -221,7 +248,7 @@ def field_from_json(obj) -> RationalField | PrimeField:
         return RationalField()
     if kind == "prime":
         p = obj.get("p")
-        if not isinstance(p, int):
+        if type(p) is not int:  # bool is an int subclass; JSON true is not
             raise ParseError(f"prime field descriptor needs an integer 'p': {obj!r}")
         return PrimeField(p)
     raise ParseError(f"unknown field kind {kind!r}")

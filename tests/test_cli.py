@@ -219,6 +219,21 @@ def test_non_matrix_ring_exits_65(monkeypatch, capsys):
     assert code == 65
 
 
+def test_boolean_integers_exit_64(monkeypatch, capsys):
+    # JSON true is not an integer, even though Python's bool is an int.
+    pair = [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]
+    docs = [
+        ("quadratic", {"ring": {"kind": "matrix", "k": True, "field": {"kind": "rational"}},
+                       "elements": [[[1]], [[0]]]}),
+        ("degree-n", {"ring": MAT2_RING, "elements": pair, "n": True}),
+        ("quadratic", {"ring": {"kind": "matrix", "k": 2, "field": {"kind": "prime", "p": True}},
+                       "elements": pair}),
+    ]
+    for command, doc in docs:
+        code, out, err = run_cli(monkeypatch, capsys, [command], doc)
+        assert code == 64, (doc, out, err)
+
+
 def test_cross_check_emits_census_lines(monkeypatch, capsys):
     doc = {"ring": {"kind": "matrix", "k": 1, "field": {"kind": "prime", "p": 3}}, "n": 2}
     code, out, err = run_cli(monkeypatch, capsys, ["cross-check"], doc)

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from ringroots import Matrix, MismatchError, ParseError
+from ringroots import Matrix, MismatchError, ParseError, PrimeFieldElement, rref
 
-from helpers import F2, QQ, nilpotent_shift_pair, rand_matrix, rank_gap_pair
+from helpers import F2, F3, F7, QQ, nilpotent_shift_pair, rand_matrix, rank_gap_pair
 
 
 def test_nilpotent_square_is_zero():
@@ -92,3 +92,59 @@ def test_entry_access():
     assert m[1, 0] == 3
     assert m.row(0) == (QQ.element(1), QQ.element(2))
     assert m.column(1) == (QQ.element(2), QQ.element(4))
+
+
+def _literal_product(a, b):
+    """The product as a sum of PrimeFieldElement products, entry by entry."""
+    return [
+        [sum((a[i, l] * b[l, j] for l in range(a.ncols)), PrimeFieldElement(0, a.field.p))
+         for j in range(b.ncols)]
+        for i in range(a.nrows)
+    ]
+
+
+def _assert_valid(field, m):
+    assert all(field.contains(e) for row in m.entries for e in row)
+
+
+def test_prime_field_products_match_elementwise_reference():
+    rng = random.Random(20)
+    for field in (F2, F3, F7):
+        for k in range(1, 5):
+            for shape in [(k, k, k), (k, rng.randint(1, 4), rng.randint(1, 4))]:
+                rows, inner, cols = shape
+                a = rand_matrix(rng, field, rows, inner)
+                b = rand_matrix(rng, field, inner, cols)
+                c = rand_matrix(rng, field, rows, inner)
+                product = a * b
+                assert [list(r) for r in product.entries] == _literal_product(a, b)
+                internal = (product, a + c, a - c, -a, a.transpose(), rref(a).rref,
+                            a.stack(c), a.augment(c), Matrix.identity(field, k))
+                for m in internal:
+                    _assert_valid(field, m)
+                if rows != inner:
+                    with pytest.raises(MismatchError):
+                        a * c
+    with pytest.raises(MismatchError):
+        rand_matrix(rng, F3, 2) * rand_matrix(rng, F7, 2)
+    with pytest.raises(MismatchError):
+        rand_matrix(rng, F3, 2) + rand_matrix(rng, F7, 2)
+
+
+def test_boundary_rejects_invalid_entries():
+    with pytest.raises(MismatchError):
+        Matrix(F2, [[1]])
+    with pytest.raises(MismatchError):
+        Matrix(F2, [[PrimeFieldElement(1, 3)]])
+    with pytest.raises(MismatchError):
+        Matrix(F2, [[F2.one, F2.zero], [F2.one]])
+    with pytest.raises(MismatchError):
+        Matrix(QQ, [])
+    with pytest.raises(MismatchError):
+        Matrix.zeros(QQ, 0, 2)
+    with pytest.raises(MismatchError):
+        Matrix.identity(F2, 0)
+    with pytest.raises(MismatchError):
+        Matrix.from_rows(F2, [[PrimeFieldElement(1, 3)]])
+    with pytest.raises(ParseError):
+        Matrix.from_json(QQ, [[1, 2], [3]])

@@ -1,6 +1,7 @@
 """Exhaustive enumeration and brute-force cross checks on finite rings."""
 
 import itertools
+import random
 
 import pytest
 
@@ -123,3 +124,42 @@ def test_cross_check_quadratic_over_two_by_two_f2():
     report = cross_check_criterion(M2F2, 2)
     assert report.pairs_checked == 240
     assert not report.disagreements
+
+
+def _reference_brute_force(x1, x2, n, ring):
+    """The per-tuple search with nothing hoisted, over a literal
+    digit-counting enumeration: (exists, count, witness, a0)."""
+    k, p = ring.k, ring.field.p
+    elements = [
+        Matrix.from_rows(ring.field, [digits[i * k : (i + 1) * k] for i in range(k)])
+        for digits in itertools.product(range(p), repeat=k * k)
+    ]
+    x1_powers = [ring.pow(x1, i) for i in range(n + 1)]
+    x2_powers = [ring.pow(x2, i) for i in range(n + 1)]
+
+    count = 0
+    witness = None
+    witness_a0 = None
+    for tup in itertools.product(elements, repeat=n - 1):
+        a0 = -x1_powers[n]
+        residual = x2_powers[n] - x1_powers[n]
+        for i, a in enumerate(tup, start=1):
+            a0 = a0 - a * x1_powers[i]
+            residual = residual + a * (x2_powers[i] - x1_powers[i])
+        if residual:
+            continue
+        count += 1
+        if witness is None:
+            witness, witness_a0 = tup, a0
+    return count > 0, count, witness, witness_a0
+
+
+@pytest.mark.parametrize("ring, n", [(MatrixRing(2, F3), 2), (M2F2, 3)])
+def test_brute_force_matches_unhoisted_reference(ring, n):
+    rng = random.Random(f"oracle-pin/{ring.field.p}/{n}")
+    elements = list(enumerate_ring(ring))
+    for _ in range(30):
+        x1, x2 = rng.sample(elements, 2)
+        result = brute_force_exists(x1, x2, n, ring)
+        got = (result.exists, result.count, result.coefficients, result.a0)
+        assert got == _reference_brute_force(x1, x2, n, ring)
