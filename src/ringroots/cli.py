@@ -8,8 +8,12 @@ stdout, diagnostics to stderr.  Exit codes are a stable contract:
     1   verification found nonzero residuals / cross-check disagreement
     2   construction obstructed (non-invertible, nonzero evaluation)
     3   no polynomial of the requested shape exists
-    64  malformed input (JSON or argument syntax)
-    65  semantic error (ring mismatch, equal roots, wrong ring kind)
+    64  malformed input (JSON or argument syntax, JSON nested too deeply
+        to decode, an integer literal over Python's int/str digit limit)
+    65  semantic error (ring mismatch, equal roots, wrong ring kind, a
+        limit exceeded: prime modulus, or a result number with more
+        digits than Python's int/str conversion limit)
+    70  internal error (an unexpected exception; EX_SOFTWARE)
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .construct import construct_with_roots, verify_roots
 from .errors import DomainError, MismatchError, ParseError
@@ -32,6 +36,7 @@ EX_OBSTRUCTED = 2
 EX_NOT_FOUND = 3
 EX_PARSE = 64
 EX_SEMANTIC = 65
+EX_SOFTWARE = 70
 
 
 class _UsageError(Exception):
@@ -140,21 +145,15 @@ def _criterion_with_override(job: JobSpec, report: CriterionReport, a1_json) -> 
     """Replace the solver's a1 with a user-supplied one, if it satisfies
     the coefficient equation."""
     ring = job.ring
-    a1 = ring.element_from_json(json.loads(a1_json))
+    try:
+        a1 = ring.element_from_json(json.loads(a1_json))
+    except ValueError as exc:  # bad JSON, or an integer literal over the digit limit
+        raise ParseError(str(exc)) from exc
     x1, x2 = job.elements[0], job.elements[1]
     if a1 * (x1 - x2) != x2 * x2 - x1 * x1:
         raise DomainError("the supplied a1 does not satisfy the coefficient equation")
     a0 = constant_term((a1,), x1, x2, 2, ring=ring)
-    return CriterionReport(
-        n=report.n,
-        rank_difference_matrix=report.rank_difference_matrix,
-        rank_augmented=report.rank_augmented,
-        exists=report.exists,
-        coefficients=(a1,),
-        a0=a0,
-        solution_space_dim=report.solution_space_dim,
-        ring=report.ring,
-    )
+    return replace(report, coefficients=(a1,), a0=a0)
 
 
 def _require_matrix_ring(job: JobSpec):
@@ -247,7 +246,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _over_digit_limit(exc: ValueError) -> bool:
+    # CPython raises a plain ValueError with this wording when an int has
+    # more decimal digits than sys.get_int_max_str_digits() allows.
+    return "integer string conversion" in str(exc)
+
+
 def main(argv=None) -> int:
+    try:
+        return _run(argv)
+    except Exception as exc:  # any defect still ends in a documented exit code
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EX_SOFTWARE
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -257,18 +270,29 @@ def main(argv=None) -> int:
 
     try:
         document = _read_document(args)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError: bad JSON or UTF-8, or an integer over the digit limit;
+    # RecursionError: arrays or objects nested too deeply to decode
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return EX_PARSE
 
     try:
         job = parse_job(args.command, document, getattr(args, "n", None))
         return _COMMANDS[args.command](job, args)
-    except (ParseError, json.JSONDecodeError) as exc:
+    except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_PARSE
     except (MismatchError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EX_SEMANTIC
+    except ValueError as exc:
+        if not _over_digit_limit(exc):
+            raise
+        print(
+            "error: a number in the result has more decimal digits than the "
+            f"int/str conversion limit of {sys.get_int_max_str_digits()} digits",
+            file=sys.stderr,
+        )
         return EX_SEMANTIC
 
 

@@ -210,13 +210,7 @@ def invertible_difference_construct(x1, x2, n: int, free_coefficients=None, *, r
 
     coefficients = tuple(a[i] for i in range(1, n))
     a0 = constant_term(coefficients, x1, x2, n, ring=ring)
-    poly = _monic_polynomial(ring, coefficients, a0, n)
-    for x in (x1, x2):
-        if not ring.is_zero(poly.evaluate(x)):
-            raise RuntimeError(
-                "internal error: direct construction produced a non-annihilating polynomial"
-            )
-    return poly
+    return _assert_annihilates(ring, coefficients, a0, n, x1, x2)
 
 
 def constant_term(coefficients, x1, x2, n: int, *, ring: Ring | None = None):

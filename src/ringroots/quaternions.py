@@ -3,11 +3,22 @@
 The defining relations i^2 = j^2 = -1 and ij = -ji = k drive the product.
 Over the rationals the norm a^2+b^2+c^2+d^2 vanishes only at zero, so
 every nonzero element is invertible (a genuine division ring).
+
+A quaternion is stored as four int numerators ``_n`` over one int
+denominator ``_den``, kept canonical: ``_den > 0`` and
+``gcd(*_n, _den) == 1`` (so zero is (0, 0, 0, 0) over 1).  Equal
+quaternions therefore have equal representations, and ``==`` and
+``hash`` work on the ints.  Arithmetic runs on the ints and normalises
+each result by a single gcd.  The components ``.a .b .c .d`` are
+read-only ``Fraction`` views, built on access.  Only the public
+constructor and ``from_json`` accept outside values, and they validate
+every component.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import ParseError
 
@@ -23,27 +34,69 @@ def _part(value) -> Fraction:
     raise ParseError(f"cannot interpret {value!r} as a rational component")
 
 
+def _raw(n, den) -> "Quaternion":
+    """A quaternion from numerators and denominator already canonical."""
+    q = object.__new__(Quaternion)
+    q._n = n
+    q._den = den
+    return q
+
+
+def _trusted(n0, n1, n2, n3, den) -> "Quaternion":
+    """A quaternion from int numerators over an int den > 0, reduced by
+    one gcd."""
+    g = gcd(n0, n1, n2, n3, den)
+    if g == 1:
+        return _raw((n0, n1, n2, n3), den)
+    return _raw((n0 // g, n1 // g, n2 // g, n3 // g), den // g)
+
+
 class Quaternion:
-    __slots__ = ("a", "b", "c", "d")
+    __slots__ = ("_n", "_den")
 
     def __init__(self, a=0, b=0, c=0, d=0):
-        self.a = _part(a)
-        self.b = _part(b)
-        self.c = _part(c)
-        self.d = _part(d)
+        parts = [_part(a), _part(b), _part(c), _part(d)]
+        # Over the lcm of reduced denominators the numerators share no
+        # factor with it, so this is already canonical.
+        den = lcm(*(p.denominator for p in parts))
+        self._n = tuple(p.numerator * (den // p.denominator) for p in parts)
+        self._den = den
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self._n[0], self._den)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self._n[1], self._den)
+
+    @property
+    def c(self) -> Fraction:
+        return Fraction(self._n[2], self._den)
+
+    @property
+    def d(self) -> Fraction:
+        return Fraction(self._n[3], self._den)
 
     def _coerce(self, other):
         if isinstance(other, Quaternion):
             return other
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return Quaternion(other)
+        if isinstance(other, int) and not isinstance(other, bool):
+            return _raw((other, 0, 0, 0), 1)
+        if isinstance(other, Fraction):
+            return _raw((other.numerator, 0, 0, 0), other.denominator)
         return None
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Quaternion(self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d)
+        (a1, b1, c1, d1), e1 = self._n, self._den
+        (a2, b2, c2, d2), e2 = other._n, other._den
+        if e1 == e2:
+            return _trusted(a1 + a2, b1 + b2, c1 + c2, d1 + d2, e1)
+        return _trusted(a1 * e2 + a2 * e1, b1 * e2 + b2 * e1,
+                        c1 * e2 + c2 * e1, d1 * e2 + d2 * e1, e1 * e2)
 
     __radd__ = __add__
 
@@ -51,7 +104,12 @@ class Quaternion:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Quaternion(self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d)
+        (a1, b1, c1, d1), e1 = self._n, self._den
+        (a2, b2, c2, d2), e2 = other._n, other._den
+        if e1 == e2:
+            return _trusted(a1 - a2, b1 - b2, c1 - c2, d1 - d2, e1)
+        return _trusted(a1 * e2 - a2 * e1, b1 * e2 - b2 * e1,
+                        c1 * e2 - c2 * e1, d1 * e2 - d2 * e1, e1 * e2)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -60,19 +118,21 @@ class Quaternion:
         return other - self
 
     def __neg__(self):
-        return Quaternion(-self.a, -self.b, -self.c, -self.d)
+        a, b, c, d = self._n
+        return _raw((-a, -b, -c, -d), self._den)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
-        a2, b2, c2, d2 = other.a, other.b, other.c, other.d
-        return Quaternion(
+        a1, b1, c1, d1 = self._n
+        a2, b2, c2, d2 = other._n
+        return _trusted(
             a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
             a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
             a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
             a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+            self._den * other._den,
         )
 
     def __rmul__(self, other):
@@ -85,35 +145,44 @@ class Quaternion:
         if n < 0:
             return self.inverse() ** (-n)
         if n == 0:
-            return Quaternion(1)
+            return _raw((1, 0, 0, 0), 1)
         result = self
         for _ in range(n - 1):
             result = result * self
         return result
 
     def conjugate(self) -> "Quaternion":
-        return Quaternion(self.a, -self.b, -self.c, -self.d)
+        a, b, c, d = self._n
+        return _raw((a, -b, -c, -d), self._den)
+
+    def _norm_numerator(self) -> int:
+        a, b, c, d = self._n
+        return a * a + b * b + c * c + d * d
 
     def norm(self) -> Fraction:
-        return self.a**2 + self.b**2 + self.c**2 + self.d**2
+        return Fraction(self._norm_numerator(), self._den * self._den)
 
     def inverse(self) -> "Quaternion":
-        n = self.norm()
-        if n == 0:
+        # conj(q) / (N / den^2) = den * conj(q)'s numerators over N
+        norm = self._norm_numerator()
+        if norm == 0:
             raise ZeroDivisionError("0 has no quaternion inverse")
-        conj = self.conjugate()
-        return Quaternion(conj.a / n, conj.b / n, conj.c / n, conj.d / n)
+        a, b, c, d = self._n
+        den = self._den
+        return _trusted(a * den, -b * den, -c * den, -d * den, norm)
 
     def __bool__(self):
-        return bool(self.a or self.b or self.c or self.d)
+        return self._n != (0, 0, 0, 0)
 
     def __eq__(self, other):
-        return isinstance(other, Quaternion) and (
-            (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
+        return (
+            isinstance(other, Quaternion)
+            and self._den == other._den
+            and self._n == other._n
         )
 
     def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
+        return hash((self._n, self._den))
 
     def to_json(self):
         return [str(self.a), str(self.b), str(self.c), str(self.d)]

@@ -9,23 +9,42 @@ of silently recombined.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 from .errors import DomainError, MismatchError, ParseError
 
+# Miller-Rabin with the first 13 primes as bases is exact below
+# 3317044064679887385961981, the least strong pseudoprime to all of them
+# (J. Sorenson and J. Webster, "Strong pseudoprimes to twelve prime
+# bases", Math. Comp. 2017).  Prime-field moduli are capped there.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_MODULUS = 3317044064679887385961980
+
 
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin test for n <= MAX_MODULUS."""
+    if n > MAX_MODULUS:
+        raise DomainError(f"primality is decided only for moduli up to {MAX_MODULUS}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for base in _MR_BASES:
+        if n % base == 0:
+            return n == base
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for base in _MR_BASES:
+        x = pow(base, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -143,9 +162,18 @@ class RationalField:
         return None if x == 0 else 1 / x
 
     def matmul(self, rows, other_rows) -> tuple:
-        """Entries of the product of two entry grids of matching shape."""
-        cols = tuple(zip(*other_rows))
-        return tuple(tuple(_dot(row, col) for col in cols) for row in rows)
+        """Entries of the product of two entry grids of matching shape.
+
+        Each row of the left factor and each column of the right factor
+        is scaled to int numerators over its least common denominator, so
+        every output entry is one integer dot product over the product
+        of a row and a column denominator, reduced once by ``Fraction``.
+        """
+        cols = [_over_common_denominator(col) for col in zip(*other_rows)]
+        return tuple(
+            tuple(Fraction(sum(map(mul, row, col)), den * col_den) for col, col_den in cols)
+            for row, den in map(_over_common_denominator, rows)
+        )
 
     def scalar_to_json(self, x: Fraction) -> str:
         return str(x)
@@ -232,12 +260,12 @@ class PrimeField:
         return f"PrimeField({self.p})"
 
 
-def _dot(row, col):
-    acc = None
-    for a, b in zip(row, col):
-        term = a * b
-        acc = term if acc is None else acc + term
-    return acc
+def _over_common_denominator(fractions) -> tuple[list, int]:
+    """(numerators, den) with fraction i equal to numerators[i] / den,
+    den the least common denominator."""
+    ratios = [f.as_integer_ratio() for f in fractions]
+    den = lcm(*[d for _, d in ratios])
+    return [n * (den // d) for n, d in ratios], den
 
 
 def field_from_json(obj) -> RationalField | PrimeField:

@@ -5,8 +5,11 @@ import json
 import subprocess
 import sys
 
-from ringroots import Polynomial
+import pytest
+
+from ringroots import Polynomial, cli
 from ringroots.cli import main
+from ringroots.scalars import MAX_MODULUS
 
 from helpers import HH
 
@@ -278,3 +281,64 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["all_zero"] is False
+
+
+_HAS_DIGIT_LIMIT = hasattr(sys, "get_int_max_str_digits")
+
+
+@pytest.mark.skipif(not _HAS_DIGIT_LIMIT, reason="no int/str digit limit in this Python")
+def test_integer_literal_over_digit_limit_exits_64(monkeypatch, capsys):
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    text = '{"ring": {"kind": "quaternion"}, "elements": [[' + digits + ', 0, 0, 0]]}'
+    code, out, err = run_cli(monkeypatch, capsys, ["construct"], text=text)
+    assert code == 64
+    assert out == ""
+    assert "Traceback" not in err
+
+
+@pytest.mark.skipif(not _HAS_DIGIT_LIMIT, reason="no int/str digit limit in this Python")
+def test_result_over_digit_limit_exits_65(monkeypatch, capsys):
+    big = "1" * 3000
+    doc = {"ring": QUAT_RING, "elements": [[big, "1/" + big, "3", "0"], ["2", big, "0", "1"]]}
+    code, out, err = run_cli(monkeypatch, capsys, ["construct"], doc)
+    assert code == 65
+    assert out == ""
+    assert str(sys.get_int_max_str_digits()) in err
+    assert "Traceback" not in err
+
+
+def test_deeply_nested_document_exits_64(monkeypatch, capsys):
+    text = "[" * 100000 + "]" * 100000
+    code, out, err = run_cli(monkeypatch, capsys, ["construct"], text=text)
+    assert code == 64
+    assert out == ""
+    assert "Traceback" not in err
+
+def test_unexpected_exception_exits_70(monkeypatch, capsys):
+    def broken(job, args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "construct", broken)
+    doc = {"ring": QUAT_RING, "elements": [["1", "0", "0", "0"]]}
+    code, out, err = run_cli(monkeypatch, capsys, ["construct"], doc)
+    assert code == 70
+    assert out == ""
+    assert "boom" in err and "Traceback" not in err
+
+
+def test_large_prime_modulus_is_accepted(monkeypatch, capsys):
+    field = {"kind": "prime", "p": 1000000000000000003}
+    doc = {"polynomial": {"ring": {"kind": "field", "field": field}, "coefficients": [-5, 1]},
+           "elements": [5, 6]}
+    code, out, _ = run_cli(monkeypatch, capsys, ["verify"], doc)
+    assert code == 1
+    assert json.loads(out) == {"residuals": [0, 1], "all_zero": False}
+
+
+def test_modulus_over_the_limit_exits_65(monkeypatch, capsys):
+    field = {"kind": "prime", "p": MAX_MODULUS + 2}
+    doc = {"ring": {"kind": "matrix", "k": 2, "field": field}, "n": 2}
+    code, out, err = run_cli(monkeypatch, capsys, ["cross-check"], doc)
+    assert code == 65
+    assert out == ""
+    assert str(MAX_MODULUS) in err

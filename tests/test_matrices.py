@@ -1,6 +1,7 @@
 """Exact matrix arithmetic and shape discipline."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -129,6 +130,40 @@ def test_prime_field_products_match_elementwise_reference():
         rand_matrix(rng, F3, 2) * rand_matrix(rng, F7, 2)
     with pytest.raises(MismatchError):
         rand_matrix(rng, F3, 2) + rand_matrix(rng, F7, 2)
+
+
+def _fraction_dot(row, col):
+    """Reference: a literal copy of the Fraction dot product that
+    RationalField.matmul used before its common-denominator products."""
+    acc = None
+    for a, b in zip(row, col):
+        term = a * b
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def test_rational_products_match_fraction_dot_reference():
+    rng = random.Random(21)
+    big = 10**39 + 7  # 40 digits
+    pool = [Fraction(0), Fraction(2), Fraction(-1), Fraction(1, 2), Fraction(-3, 4),
+            Fraction(5, 6), Fraction(-7, 6), Fraction(big), Fraction(-big, 3),
+            Fraction(1, big), Fraction(-(10**40 - 3), big)]
+    grids = [lambda r, c: [[Fraction(0)] * c for _ in range(r)],
+             lambda r, c: [[Fraction(rng.randint(-9, 9), 6) for _ in range(c)] for _ in range(r)],
+             lambda r, c: [[rng.choice(pool) for _ in range(c)] for _ in range(r)]]
+    for _ in range(40):
+        rows, inner, cols = (rng.randint(1, 4) for _ in range(3))
+        for make_a in grids:
+            for make_b in grids:
+                a = Matrix.from_rows(QQ, make_a(rows, inner))
+                b = Matrix.from_rows(QQ, make_b(inner, cols))
+                product = (a * b).entries
+                expected = tuple(tuple(_fraction_dot(row, col) for col in zip(*b.entries))
+                                 for row in a.entries)
+                assert product == expected
+                assert all(type(e) is Fraction for row in product for e in row)
+                assert [[str(e) for e in row] for row in product] == \
+                    [[str(e) for e in row] for row in expected]
 
 
 def test_boundary_rejects_invalid_entries():

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -79,3 +80,117 @@ def test_json_round_trip():
         Quaternion.from_json(["1", "2", "3"])
     with pytest.raises(ParseError):
         Quaternion.from_json("1+i")
+
+
+class _FractionQuaternion:
+    """Reference kernel: a literal copy of the Fraction-component
+    arithmetic the four-ints-over-one-denominator representation
+    replaced (old __add__, __sub__, __mul__, conjugate, norm, inverse)."""
+
+    def __init__(self, a=0, b=0, c=0, d=0):
+        self.a = Fraction(a)
+        self.b = Fraction(b)
+        self.c = Fraction(c)
+        self.d = Fraction(d)
+
+    def __add__(self, other):
+        return _FractionQuaternion(self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d)
+
+    def __sub__(self, other):
+        return _FractionQuaternion(self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d)
+
+    def __mul__(self, other):
+        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
+        a2, b2, c2, d2 = other.a, other.b, other.c, other.d
+        return _FractionQuaternion(
+            a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+        )
+
+    def conjugate(self):
+        return _FractionQuaternion(self.a, -self.b, -self.c, -self.d)
+
+    def norm(self):
+        return self.a**2 + self.b**2 + self.c**2 + self.d**2
+
+    def inverse(self):
+        n = self.norm()
+        if n == 0:
+            raise ZeroDivisionError("0 has no quaternion inverse")
+        conj = self.conjugate()
+        return _FractionQuaternion(conj.a / n, conj.b / n, conj.c / n, conj.d / n)
+
+    def parts(self):
+        return (self.a, self.b, self.c, self.d)
+
+
+_BIG = 10**39 + 7  # 40 digits
+_COMPONENTS = [
+    Fraction(0), Fraction(1), Fraction(-1), Fraction(3), Fraction(1, 2), Fraction(-3, 4),
+    Fraction(5, 6), Fraction(-7, 6), Fraction(1, 6),  # shared denominators
+    Fraction(_BIG), Fraction(-_BIG, 3), Fraction(1, _BIG), Fraction(-(10**40 - 3), _BIG),
+]
+
+
+def _sweep_pairs():
+    rng = random.Random(11)
+    shared = [Fraction(n, 6) for n in (-5, 1, 0, 7)]
+    fixed = [[0, 0, 0, 0], [1, 0, 0, 0], [0, -1, 0, 0], shared, [-x for x in shared],
+             [_BIG, -_BIG, Fraction(1, _BIG), 0]]
+    pool = fixed + [[rng.choice(_COMPONENTS) for _ in range(4)] for _ in range(40)]
+    for p in pool:
+        for q in (rng.choice(pool) for _ in range(6)):
+            yield p, q
+    for p in fixed:
+        for q in fixed:
+            yield p, q
+
+
+def _assert_canonical(q):
+    assert all(type(v) is int for v in q._n) and type(q._den) is int
+    assert q._den > 0
+    assert gcd(*q._n, q._den) == 1
+
+
+def _assert_matches(q, ref):
+    _assert_canonical(q)
+    assert (q.a, q.b, q.c, q.d) == ref.parts()
+    assert q.to_json() == [str(v) for v in ref.parts()]
+
+
+def test_int_kernel_matches_fraction_reference():
+    for p_parts, q_parts in _sweep_pairs():
+        p, q = Quaternion(*p_parts), Quaternion(*q_parts)
+        rp, rq = _FractionQuaternion(*p_parts), _FractionQuaternion(*q_parts)
+        _assert_matches(p, rp)
+        _assert_matches(p + q, rp + rq)
+        _assert_matches(p - q, rp - rq)
+        _assert_matches(p * q, rp * rq)
+        _assert_matches(-p, _FractionQuaternion() - rp)
+        _assert_matches(p.conjugate(), rp.conjugate())
+        assert p.norm() == rp.norm()
+        if p:
+            _assert_matches(p.inverse(), rp.inverse())
+        for scalar in (q_parts[0], Fraction(q_parts[1]).numerator):
+            rs = _FractionQuaternion(scalar)
+            _assert_matches(p * scalar, rp * rs)
+            _assert_matches(scalar * p, rs * rp)
+            _assert_matches(p + scalar, rp + rs)
+            _assert_matches(scalar - p, rs - rp)
+
+
+def test_equal_values_have_one_representation():
+    assert Quaternion("2/4") == Quaternion(Fraction(1, 2))
+    assert hash(Quaternion("2/4")) == hash(Quaternion(Fraction(1, 2)))
+    q = Quaternion("2/4", "-6/8", 0, 3)
+    assert (q._n, q._den) == ((2, -3, 0, 12), 4)
+    zero = Quaternion(0, "0/5")
+    assert (zero._n, zero._den) == ((0, 0, 0, 0), 1)
+    third = Quaternion("1/3", 0, "2/3")
+    assert third + third + third == Quaternion(1, 0, 2)
+    assert hash(third + third + third) == hash(Quaternion(1, 0, 2))
+    assert {Quaternion("1/2"): 1}[Quaternion(1) * Fraction(1, 2)] == 1
+    with pytest.raises(AttributeError):
+        third.a = Fraction(1)

@@ -1,10 +1,14 @@
 """Scalar fields: rationals and prime-field residues."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import ringroots
 from ringroots import (
     DomainError,
     MismatchError,
@@ -13,8 +17,11 @@ from ringroots import (
     PrimeFieldElement,
     field_from_json,
 )
+from ringroots.scalars import MAX_MODULUS, is_prime
 
 from helpers import F2, F7, QQ
+
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(ringroots.__file__)))
 
 
 def test_rational_addition_is_exact():
@@ -115,3 +122,54 @@ def test_field_descriptor_round_trip():
         field_from_json({"kind": "prime"})
     with pytest.raises(DomainError):
         field_from_json({"kind": "prime", "p": 6})
+
+
+def _trial_division_is_prime(n):
+    """Reference: the trial-division test Miller-Rabin replaced."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert [n for n in range(-3, 10**5) if is_prime(n)] == \
+        [n for n in range(-3, 10**5) if _trial_division_is_prime(n)]
+
+
+def test_is_prime_rejects_carmichael_numbers_and_strong_pseudoprimes():
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265,
+                  321197185, 5394826801, 232250619601, 9746347772161]
+    # strong pseudoprimes to every prime base up to 7, 23 and 37
+    strong = [3215031751, 3825123056546413051, 318665857834031151167461]
+    for n in carmichael + strong:
+        assert not is_prime(n), n
+    assert is_prime(2**61 - 1) and is_prime(10**24 + 7)
+    assert is_prime(3317044064679887385961813)  # the largest prime under the cap
+    assert not is_prime((2**61 - 1) * (2**19 - 1))
+
+
+def test_large_prime_modulus_is_decided_quickly():
+    # trial division needs ~5*10^8 steps on this modulus; run it in a
+    # child process so that a slow test fails instead of hanging
+    code = "from ringroots import PrimeField; print(PrimeField(1000000000000000003).p)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=20, env={**os.environ, "PYTHONPATH": _SRC})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1000000000000000003"
+
+
+def test_modulus_limit():
+    assert is_prime(MAX_MODULUS) is False  # 3317044064679887385961980 is even
+    with pytest.raises(DomainError, match=str(MAX_MODULUS)):
+        is_prime(MAX_MODULUS + 1)
+    with pytest.raises(DomainError, match=str(MAX_MODULUS)):
+        PrimeField(10**25 + 13)
