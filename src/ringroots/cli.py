@@ -11,8 +11,8 @@ stdout, diagnostics to stderr.  Exit codes are a stable contract:
     64  malformed input (JSON or argument syntax, JSON nested too deeply
         to decode, an integer literal over Python's int/str digit limit)
     65  semantic error (ring mismatch, equal roots, wrong ring kind, a
-        limit exceeded: prime modulus, or a result number with more
-        digits than Python's int/str conversion limit)
+        limit exceeded: prime modulus, degree over MAX_DEGREE, or a result
+        number with more digits than Python's int/str conversion limit)
     70  internal error (an unexpected exception; EX_SOFTWARE)
 """
 

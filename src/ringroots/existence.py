@@ -1,16 +1,19 @@
 """Existence criteria and constructors for monic polynomials with two
 prescribed roots.
 
-For square matrices x1 != x2 over a field, a monic quadratic
-x^2 + a1*x + a0 annihilating both exists if and only if the coefficient
-equation a1*(x1 - x2) = x2^2 - x1^2 has a solution, which by
-Kronecker-Capelli happens exactly when rank(x1 - x2) equals the rank of
-(x1 - x2) with the rows of x2^2 - x1^2 stacked below.  The same
-subtraction trick turns the degree-n case into one joint linear system in
-the unknown coefficient matrices a_1..a_{n-1}, with the constant term
-recovered afterwards.  Separately, over any ring with identity, an
-invertible power difference x1^j - x2^j yields a direct construction with
-the remaining coefficients chosen freely.
+Substituting both roots x1 != x2 into x^n + sum_i a_i x^i + a0 and
+subtracting eliminates a0, leaving one linear system in the unknown
+coefficients, sum_{i<n} a_i*(x1^i - x2^i) = x2^n - x1^n.  For square
+matrices over a field it is decided by one elimination: the RREF of
+[A_1^T | ... | A_{n-1}^T | B^T], A_i = x1^i - x2^i, B = x2^n - x1^n,
+gives the rank (pivots left of the bar), the augmented rank (all
+pivots; a solution exists iff they agree, by Kronecker-Capelli), the
+particular solution with free variables zero, and the dimension of the
+solution space; solving for all a_i jointly, rather than pinning some at
+zero first, keeps the criterion complete.  Over any ring with identity, an invertible power
+difference x1^j - x2^j yields a direct construction.  Every path reads
+its powers off one ladder per root, and every returned polynomial is
+evaluated at both roots before it leaves.
 """
 
 from __future__ import annotations
@@ -18,10 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, MismatchError
-from .linalg import rank, solve_stacked, solve_xa_eq_b
+from .linalg import rank, solve_stacked  # noqa: F401  (rank stays importable from here)
 from .matrices import Matrix
 from .polynomials import Polynomial
 from .rings import MatrixRing, Ring, infer_ring
+
+# Largest degree the criteria and the direct construction accept: their
+# work and, over Q, the height of every power grow with n.  A larger
+# degree raises DomainError naming the limit (CLI exit 65).
+MAX_DEGREE = 64
 
 
 @dataclass(frozen=True)
@@ -47,7 +55,7 @@ class CriterionReport:
         """The monic annihilator x^n + sum a_i x^i + a0, when it exists."""
         if not self.exists:
             return None
-        return _monic_polynomial(self.ring, self.coefficients, self.a0, self.n)
+        return _monic_polynomial(self.ring, self.coefficients, self.a0)
 
     def to_json(self) -> dict:
         enc = self.ring.element_to_json
@@ -64,11 +72,8 @@ class CriterionReport:
         }
 
 
-def _monic_polynomial(ring: Ring, coefficients, a0, n: int) -> Polynomial:
-    coeffs = [a0, *coefficients]
-    coeffs += [ring.zero] * (n - len(coeffs))
-    coeffs.append(ring.one)
-    return Polynomial(ring, coeffs)
+def _monic_polynomial(ring: Ring, coefficients, a0) -> Polynomial:
+    return Polynomial(ring, [a0, *coefficients, ring.one])
 
 
 def _matrix_pair_ring(x1, x2) -> MatrixRing:
@@ -81,8 +86,8 @@ def _matrix_pair_ring(x1, x2) -> MatrixRing:
     return ring
 
 
-def _assert_annihilates(ring, coefficients, a0, n, x1, x2):
-    poly = _monic_polynomial(ring, coefficients, a0, n)
+def _assert_annihilates(ring, coefficients, a0, x1, x2):
+    poly = _monic_polynomial(ring, coefficients, a0)
     for x in (x1, x2):
         if not ring.is_zero(poly.evaluate(x)):
             raise RuntimeError(
@@ -91,70 +96,43 @@ def _assert_annihilates(ring, coefficients, a0, n, x1, x2):
     return poly
 
 
-def quadratic_existence(x1: Matrix, x2: Matrix) -> CriterionReport:
-    """Decide whether a monic quadratic with roots x1 and x2 exists.
+def _check_degree(n: int):
+    if n < 2:
+        raise DomainError("degree must be at least 2")
+    if n > MAX_DEGREE:
+        raise DomainError(f"degree {n} is above the limit of {MAX_DEGREE} (MAX_DEGREE)")
 
-    Verdict via the stacked-rank test; the particular a1 (free variables
-    zero) via the row-wise solve of a1*(x1 - x2) = x2^2 - x1^2; a0 from
-    either root, with the two expressions checked against each other.
-    """
-    ring = _matrix_pair_ring(x1, x2)
-    diff = x1 - x2
-    rhs = x2 * x2 - x1 * x1
-    rank_diff = rank(diff)
-    rank_aug = rank(diff.stack(rhs))
-    exists = rank_diff == rank_aug
-    outcome = solve_xa_eq_b(diff, rhs)
-    if outcome.consistent != exists:
-        raise RuntimeError("internal error: rank test and row solver disagree")
-    coefficients = a0 = None
-    if exists:
-        a1 = outcome.particular
-        a0 = constant_term((a1,), x1, x2, 2, ring=ring)
-        coefficients = (a1,)
-        _assert_annihilates(ring, coefficients, a0, 2, x1, x2)
-    return CriterionReport(
-        n=2,
-        rank_difference_matrix=rank_diff,
-        rank_augmented=rank_aug,
-        exists=exists,
-        coefficients=coefficients,
-        a0=a0,
-        solution_space_dim=outcome.nullspace_dim,
-        ring=ring,
-    )
+
+def quadratic_existence(x1: Matrix, x2: Matrix) -> CriterionReport:
+    """Decide whether a monic quadratic with roots x1 and x2 exists: the
+    n = 2 case, where rank(x1 - x2) must equal the rank of x1 - x2 with
+    the rows of x2^2 - x1^2 stacked below."""
+    return _criterion(x1, x2, 2)
 
 
 def degree_n_existence(x1: Matrix, x2: Matrix, n: int) -> CriterionReport:
-    """Decide whether a monic degree-n polynomial with roots x1, x2 exists.
+    """Decide whether a monic degree-n polynomial with roots x1, x2 exists,
+    2 <= n <= MAX_DEGREE, by one elimination of the joint system
+    sum_i a_i*(x1^i - x2^i) = x2^n - x1^n."""
+    return _criterion(x1, x2, n)
 
-    Substituting both roots into x^n + sum a_i x^i + a0 and subtracting
-    eliminates a0, leaving sum_i a_i*(x1^i - x2^i) = x2^n - x1^n, solved
-    jointly for all a_i.  Solving jointly (rather than pinning
-    a_2..a_{n-1} at zero first) keeps the criterion complete.
-    """
+
+def _criterion(x1: Matrix, x2: Matrix, n: int) -> CriterionReport:
     ring = _matrix_pair_ring(x1, x2)
-    if n < 2:
-        raise DomainError("degree must be at least 2")
-    blocks = [x1**i - x2**i for i in range(1, n)]
-    rhs = x2**n - x1**n
-    system = blocks[0].transpose()
-    for blk in blocks[1:]:
-        system = system.augment(blk.transpose())
-    rank_sys = rank(system)
-    rank_aug = rank(system.augment(rhs.transpose()))
-    outcome = solve_stacked(blocks, rhs)
-    if outcome.consistent != (rank_sys == rank_aug):
-        raise RuntimeError("internal error: rank test and stacked solver disagree")
+    _check_degree(n)
+    powers1, powers2 = ring.powers(x1, n), ring.powers(x2, n)
+    outcome = solve_stacked(
+        [powers1[i] - powers2[i] for i in range(1, n)], powers2[n] - powers1[n]
+    )
     coefficients = a0 = None
     if outcome.consistent:
         coefficients = outcome.particular
-        a0 = constant_term(coefficients, x1, x2, n, ring=ring)
-        _assert_annihilates(ring, coefficients, a0, n, x1, x2)
+        a0 = _constant_term(coefficients, powers1)
+        _assert_annihilates(ring, coefficients, a0, x1, x2)
     return CriterionReport(
         n=n,
-        rank_difference_matrix=rank_sys,
-        rank_augmented=rank_aug,
+        rank_difference_matrix=outcome.rank,
+        rank_augmented=outcome.rank_augmented,
         exists=outcome.consistent,
         coefficients=coefficients,
         a0=a0,
@@ -172,25 +150,22 @@ def invertible_difference_construct(x1, x2, n: int, free_coefficients=None, *, r
     assigned to the non-solved indices in increasing order).  Returns
     None when every power difference is singular; the joint-system
     criterion may still succeed in that case.  Works over any supported
-    ring, not just matrices.
+    ring, not just matrices; n is at most MAX_DEGREE.
     """
     ring = infer_ring(x1) if ring is None else ring
     ring.check(x1)
     ring.check(x2)
     if x1 == x2:
         raise DomainError("the two prescribed roots must be distinct")
-    if n < 2:
-        raise DomainError("degree must be at least 2")
+    _check_degree(n)
 
-    diffs = {j: ring.sub(ring.pow(x1, j), ring.pow(x2, j)) for j in range(1, n)}
-    solved_index = None
-    inverse = None
-    for j in range(1, n):
-        inverse = ring.invert(diffs[j])
+    powers1, powers2 = ring.powers(x1, n), ring.powers(x2, n)
+    diffs = {j: powers1[j] - powers2[j] for j in range(1, n)}
+    for solved_index in range(1, n):
+        inverse = ring.invert(diffs[solved_index])
         if inverse is not None:
-            solved_index = j
             break
-    if solved_index is None:
+    else:
         return None
 
     other_indices = [i for i in range(1, n) if i != solved_index]
@@ -203,14 +178,14 @@ def invertible_difference_construct(x1, x2, n: int, free_coefficients=None, *, r
         )
 
     a = dict(zip(other_indices, free_coefficients))
-    target = ring.sub(ring.pow(x2, n), ring.pow(x1, n))
+    target = powers2[n] - powers1[n]
     for i in other_indices:
         target = target - a[i] * diffs[i]
     a[solved_index] = target * inverse
 
     coefficients = tuple(a[i] for i in range(1, n))
-    a0 = constant_term(coefficients, x1, x2, n, ring=ring)
-    return _assert_annihilates(ring, coefficients, a0, n, x1, x2)
+    a0 = _constant_term(coefficients, powers1)
+    return _assert_annihilates(ring, coefficients, a0, x1, x2)
 
 
 def constant_term(coefficients, x1, x2, n: int, *, ring: Ring | None = None):
@@ -224,14 +199,18 @@ def constant_term(coefficients, x1, x2, n: int, *, ring: Ring | None = None):
     coefficients = [ring.check(c) for c in coefficients]
     if len(coefficients) != n - 1:
         raise DomainError(f"expected {n - 1} coefficients for degree {n}")
-    from_x1 = ring.neg(ring.pow(x1, n))
-    from_x2 = ring.neg(ring.pow(x2, n))
-    for i, c in enumerate(coefficients, start=1):
-        from_x1 = from_x1 - c * ring.pow(x1, i)
-        from_x2 = from_x2 - c * ring.pow(x2, i)
-    if from_x1 != from_x2:
+    from_x1 = _constant_term(coefficients, ring.powers(x1, n))
+    if from_x1 != _constant_term(coefficients, ring.powers(x2, n)):
         raise DomainError(
             "coefficients do not satisfy the two-root difference equation; "
             "no single constant term works for both roots"
         )
     return from_x1
+
+
+def _constant_term(coefficients, powers):
+    """-(x^n + sum_i a_i x^i), from the ladder powers = [x^0, ..., x^n]."""
+    a0 = -powers[-1]
+    for c, power in zip(coefficients, powers[1:]):
+        a0 = a0 - c * power
+    return a0

@@ -1,8 +1,11 @@
 """Exact linear algebra over a field: RREF, rank, consistency, solutions.
 
-Everything is Gauss-Jordan with the first nonzero entry of the leftmost
-unresolved column as pivot.  Exact arithmetic needs no pivoting
-heuristics, and the fixed rule keeps outputs reproducible.
+The one elimination is the field descriptor's ``rref``, a fraction-free
+Gauss-Jordan on ints with the first nonzero entry of the leftmost
+unresolved column as pivot: exact arithmetic needs no pivoting
+heuristics, and the fixed rule keeps outputs reproducible.  A solve is
+one RREF of the augmented matrix, which gives both ranks and the
+particular solution.
 """
 
 from __future__ import annotations
@@ -36,42 +39,21 @@ class SolveOutcome:
 
 @dataclass(frozen=True)
 class StackedSolveOutcome:
-    """Like SolveOutcome, with one particular matrix per unknown block."""
+    """Like SolveOutcome, with one particular matrix per unknown block and
+    the ranks of [A_1^T | ... | A_m^T] and of it with B^T appended."""
 
     consistent: bool
     particular: tuple[Matrix, ...] | None
     nullspace_dim: int
+    rank: int
+    rank_augmented: int
 
 
 def rref(m: Matrix) -> RrefResult:
     """Reduced row echelon form: leading 1s, zeroed pivot columns,
     staircase shape, zero rows last."""
-    field = m.field
-    work = [list(row) for row in m.entries]
-    nrows, ncols = m.nrows, m.ncols
-    pivots = []
-    pivot_row = 0
-    for col in range(ncols):
-        if pivot_row == nrows:
-            break
-        hit = None
-        for r in range(pivot_row, nrows):
-            if work[r][col]:
-                hit = r
-                break
-        if hit is None:
-            continue
-        if hit != pivot_row:
-            work[pivot_row], work[hit] = work[hit], work[pivot_row]
-        inv = field.invert(work[pivot_row][col])
-        work[pivot_row] = [e * inv for e in work[pivot_row]]
-        for r in range(nrows):
-            if r != pivot_row and work[r][col]:
-                factor = work[r][col]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[pivot_row])]
-        pivots.append(col)
-        pivot_row += 1
-    return RrefResult(_trusted(field, tuple(map(tuple, work))), len(pivots), tuple(pivots))
+    rows, pivots = m.field.rref(m.entries)
+    return RrefResult(_trusted(m.field, rows), len(pivots), pivots)
 
 
 def rank(m: Matrix) -> int:
@@ -95,56 +77,21 @@ def nullspace_basis(m: Matrix) -> tuple[Matrix, ...]:
     return tuple(basis)
 
 
-def _solve_columns(a: Matrix, b: Matrix):
-    """Solve a * Y = b for all columns of b at once.
-
-    Returns (consistent, Y or None, rank of a).  Free variables are set
-    to zero in Y.  Consistency is the Kronecker-Capelli condition: the
-    augmented matrix gains no pivot beyond a's columns.
-    """
-    if a.field != b.field or a.nrows != b.nrows:
-        raise MismatchError("coefficient matrix and right-hand side do not align")
-    rr = rref(a.augment(b))
-    split = a.ncols
-    left_pivots = [c for c in rr.pivot_columns if c < split]
-    if len(left_pivots) != len(rr.pivot_columns):
-        return False, None, len(left_pivots)
-    field = a.field
-    solution = [(field.zero,) * b.ncols] * a.ncols
-    for row_idx, col in enumerate(left_pivots):
-        solution[col] = rr.rref.entries[row_idx][split:]
-    return True, _trusted(field, tuple(solution)), len(left_pivots)
-
-
 def matrix_inverse(m: Matrix) -> Matrix | None:
-    """Two-sided inverse of a square matrix, or None when rank < k."""
+    """Two-sided inverse of a square matrix, or None when rank < k: the
+    unique X with X * m = 1, from `solve_stacked`."""
     if not m.is_square():
         raise MismatchError("only square matrices can be inverted")
-    consistent, inv, rk = _solve_columns(m, Matrix.identity(m.field, m.nrows))
-    if rk < m.nrows:
-        return None
-    assert consistent
-    return inv
+    outcome = solve_stacked((m,), Matrix.identity(m.field, m.nrows))
+    return outcome.particular[0] if outcome.rank == m.nrows else None
 
 
 def solve_xa_eq_b(a: Matrix, b: Matrix) -> SolveOutcome:
-    """Solve X * a = b for a square unknown X, both sides k x k.
-
-    Each row of X solves an independent system: (row i of X) * a equals
-    row i of b.  Transposing turns the k row systems into one
-    multi-column solve of a^T * Y = b^T.  Free variables are set to zero
-    in every row.
-    """
-    if not a.is_square() or not b.is_square():
-        raise MismatchError("solve_xa_eq_b expects square matrices")
-    if a.field != b.field or a.nrows != b.nrows:
-        raise MismatchError("coefficient matrix and right-hand side do not align")
-    k = a.nrows
-    consistent, y, rk = _solve_columns(a.transpose(), b.transpose())
-    dim = k * (k - rk)
-    if not consistent:
-        return SolveOutcome(False, None, dim)
-    return SolveOutcome(True, y.transpose(), dim)
+    """Solve X * a = b for a square unknown X, both sides k x k:
+    `solve_stacked` with the single block a."""
+    outcome = solve_stacked((a,), b)
+    particular = outcome.particular[0] if outcome.consistent else None
+    return SolveOutcome(outcome.consistent, particular, outcome.nullspace_dim)
 
 
 def solve_stacked(blocks, rhs: Matrix) -> StackedSolveOutcome:
@@ -152,7 +99,8 @@ def solve_stacked(blocks, rhs: Matrix) -> StackedSolveOutcome:
 
     Row i of the equation constrains only the i-th rows of the X_j, so
     the whole thing is k independent systems sharing the coefficient
-    matrix [A_1^T | ... | A_m^T].  Free variables are set to zero.
+    matrix C = [A_1^T | ... | A_m^T]: one multi-column system C*Y = B^T,
+    solved by one RREF of [C | B^T].  Free variables are set to zero.
     """
     blocks = tuple(blocks)
     if not blocks:
@@ -166,13 +114,16 @@ def solve_stacked(blocks, rhs: Matrix) -> StackedSolveOutcome:
     coeff = blocks[0].transpose()
     for blk in blocks[1:]:
         coeff = coeff.augment(blk.transpose())
-    consistent, y, rk = _solve_columns(coeff, rhs.transpose())
-    dim = k * (k * len(blocks) - rk)
-    if not consistent:
-        return StackedSolveOutcome(False, None, dim)
-    # y is (k*m) x k; rows j*k..(j+1)*k hold the transposed block X_j.
-    parts = []
-    for j in range(len(blocks)):
-        part_rows = y.entries[j * k : (j + 1) * k]
-        parts.append(_trusted(rhs.field, part_rows).transpose())
-    return StackedSolveOutcome(True, tuple(parts), dim)
+    rr = rref(coeff.augment(rhs.transpose()))
+    split = coeff.ncols
+    rk = sum(c < split for c in rr.pivot_columns)
+    dim = k * (split - rk)
+    if rk < rr.rank:  # Kronecker-Capelli: a pivot in the B^T columns
+        return StackedSolveOutcome(False, None, dim, rk, rr.rank)
+    # Y is (k*m) x k, zero in the free rows; rows j*k..(j+1)*k hold X_j^T.
+    y = [(rhs.field.zero,) * k] * split
+    for row_idx, col in enumerate(rr.pivot_columns):
+        y[col] = rr.rref.entries[row_idx][split:]
+    parts = tuple(_trusted(rhs.field, tuple(y[j * k : (j + 1) * k])).transpose()
+                  for j in range(len(blocks)))
+    return StackedSolveOutcome(True, parts, dim, rk, rr.rank)

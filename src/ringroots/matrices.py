@@ -17,6 +17,7 @@ to the field descriptor's ``matmul``; over F_p it works on raw residues.
 from __future__ import annotations
 
 from .errors import MismatchError, ParseError
+from .scalars import _square_and_multiply
 
 
 class Matrix:
@@ -125,10 +126,7 @@ class Matrix:
             raise MismatchError("negative matrix powers are not defined here")
         if n == 0:
             return Matrix.identity(self.field, self.nrows)
-        result = self
-        for _ in range(n - 1):
-            result = result * self
-        return result
+        return _square_and_multiply(self, n)
 
     def transpose(self) -> "Matrix":
         return _trusted(self.field, tuple(zip(*self.entries)))

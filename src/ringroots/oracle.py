@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from .errors import DomainError
-from .existence import degree_n_existence, quadratic_existence
+from .existence import _constant_term, degree_n_existence, quadratic_existence
 from .matrices import Matrix, _trusted
 from .polynomials import Polynomial
 from .rings import MatrixRing, Ring
@@ -115,8 +115,8 @@ def _search(
     """
     elements, element_rows = space
     p = ring.field.p
-    x1_powers = _power_ladder(x1, n, ring)
-    x2_powers = _power_ladder(x2, n, ring)
+    x1_powers = ring.powers(x1, n)
+    x2_powers = ring.powers(x2, n)
     target = [e.residue for row in (x2_powers[n] - x1_powers[n]).entries for e in row]
     tables = []
     for i in range(1, n):
@@ -138,22 +138,12 @@ def _search(
     if witness is None:
         return BruteForceResult(False, None, None, 0)
 
-    a0 = -x1_powers[n]
-    for i, a in enumerate(witness, start=1):
-        a0 = a0 - a * x1_powers[i]
+    a0 = _constant_term(witness, x1_powers)
     poly = Polynomial(ring, [a0, *witness, ring.one])
     for x in (x1, x2):
         if not ring.is_zero(poly.evaluate(x)):
             raise RuntimeError("internal error: brute-force witness fails evaluation")
     return BruteForceResult(True, witness, a0, count)
-
-
-def _power_ladder(x: Matrix, n: int, ring: MatrixRing) -> list:
-    """[x^0, x^1, ..., x^n], each power one multiply from the last."""
-    powers = [ring.one, x]
-    while len(powers) <= n:
-        powers.append(powers[-1] * x)
-    return powers
 
 
 def _residue_rows(m: Matrix) -> list:

@@ -21,6 +21,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import ParseError
+from .scalars import _square_and_multiply
 
 
 def _part(value) -> Fraction:
@@ -145,11 +146,8 @@ class Quaternion:
         if n < 0:
             return self.inverse() ** (-n)
         if n == 0:
-            return _raw((1, 0, 0, 0), 1)
-        result = self
-        for _ in range(n - 1):
-            result = result * self
-        return result
+            return ONE
+        return _square_and_multiply(self, n)
 
     def conjugate(self) -> "Quaternion":
         a, b, c, d = self._n
@@ -204,7 +202,8 @@ class Quaternion:
         return " + ".join(terms) if terms else "0"
 
 
-ONE = Quaternion(1)
+ZERO = _raw((0, 0, 0, 0), 1)
+ONE = _raw((1, 0, 0, 0), 1)
 I = Quaternion(0, 1)
 J = Quaternion(0, 0, 1)
 K = Quaternion(0, 0, 0, 1)

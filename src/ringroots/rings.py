@@ -13,7 +13,7 @@ from fractions import Fraction
 from . import linalg
 from .errors import DomainError, MismatchError, ParseError
 from .matrices import Matrix
-from .quaternions import Quaternion
+from .quaternions import ONE, ZERO, Quaternion
 from .scalars import (
     PrimeField,
     PrimeFieldElement,
@@ -62,6 +62,13 @@ class Ring:
         if n < 0:
             raise DomainError("ring powers take nonnegative exponents")
         return self.check(a) ** n
+
+    def powers(self, x, n: int) -> list:
+        """[x^0, x^1, ..., x^n], each power one multiply from the last."""
+        ladder = [self.one, self.check(x)]
+        while len(ladder) <= n:
+            ladder.append(ladder[-1] * x)
+        return ladder[: n + 1]
 
     def invert(self, a):
         """Two-sided inverse of a, or None when a is not a unit."""
@@ -182,14 +189,8 @@ class QuaternionRing(Ring):
     """Quaternions with rational components; every nonzero element is a unit."""
 
     kind = "quaternion"
-
-    @property
-    def zero(self):
-        return Quaternion()
-
-    @property
-    def one(self):
-        return Quaternion(1)
+    zero = ZERO
+    one = ONE
 
     def contains(self, x) -> bool:
         return isinstance(x, Quaternion)

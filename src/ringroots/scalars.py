@@ -4,12 +4,15 @@ Rationals are plain ``fractions.Fraction`` values (already canonical:
 reduced, positive denominator, zero is 0/1).  Prime-field residues get a
 small wrapper class so that mixed-modulus arithmetic is rejected instead
 of silently recombined.
+
+The field descriptors own the matrix kernels, ``matmul`` and ``rref``,
+which work on plain ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .errors import DomainError, MismatchError, ParseError
@@ -175,6 +178,18 @@ class RationalField:
             for row, den in map(_over_common_denominator, rows)
         )
 
+    def rref(self, rows) -> tuple[tuple, tuple]:
+        """(reduced rows, pivot columns) of an entry grid: rows scaled to
+        int numerators over their lcm, eliminated by `_fraction_free_rref`
+        with gcd reduction, then one ``Fraction(a, pivot)`` per entry."""
+        work = [_over_common_denominator(row)[0] for row in rows]
+        pivots = _fraction_free_rref(work, _primitive)
+        zero = self.zero
+        reduced = [tuple(Fraction(a, row[c]) if a else zero for a in row)
+                   for row, c in zip(work, pivots)]
+        reduced += [(zero,) * len(work[0])] * (len(work) - len(pivots))
+        return tuple(reduced), pivots
+
     def scalar_to_json(self, x: Fraction) -> str:
         return str(x)
 
@@ -240,6 +255,20 @@ class PrimeField:
             for row in ([e.residue for e in r] for r in rows)
         )
 
+    def rref(self, rows) -> tuple[tuple, tuple]:
+        """(reduced rows, pivot columns) of an entry grid: residues
+        eliminated by `_fraction_free_rref` mod p, then each pivot row
+        scaled once by the inverse of its pivot."""
+        p = self.p
+        work = [[e.residue for e in row] for row in rows]
+        pivots = _fraction_free_rref(work, lambda row: [a % p for a in row])
+        reduced = []
+        for row, c in zip(work, pivots):
+            inv = pow(row[c], -1, p)
+            reduced.append(tuple(PrimeFieldElement(a * inv, p) for a in row))
+        reduced += [(PrimeFieldElement(0, p),) * len(work[0])] * (len(work) - len(pivots))
+        return tuple(reduced), pivots
+
     def elements(self):
         """All p field elements, in residue order."""
         return (PrimeFieldElement(r, self.p) for r in range(self.p))
@@ -266,6 +295,57 @@ def _over_common_denominator(fractions) -> tuple[list, int]:
     ratios = [f.as_integer_ratio() for f in fractions]
     den = lcm(*[d for _, d in ratios])
     return [n * (den // d) for n, d in ratios], den
+
+
+def _fraction_free_rref(work, reduce) -> tuple:
+    """Division-free Gauss-Jordan on the int rows `work`, in place;
+    returns the pivot columns.
+
+    The pivot is the first nonzero entry of the leftmost unresolved
+    column; every other row r with f = work[r][col] != 0 becomes
+    reduce(pv * work[r] - f * pivot_row).  `reduce` keeps the entries
+    small (a gcd over Z, mod p over F_p), so each row stays a nonzero
+    multiple of the row element-wise Gauss-Jordan holds: same pivots,
+    same reduced form once pivot row i is divided by work[i][pivots[i]].
+    Rows below the rank end up zero.
+    """
+    nrows = len(work)
+    pivots = []
+    for col in range(len(work[0])):
+        top = len(pivots)
+        if top == nrows:
+            break
+        hit = next((r for r in range(top, nrows) if work[r][col]), None)
+        if hit is None:
+            continue
+        work[top], work[hit] = work[hit], work[top]
+        pivot_row = work[top]
+        pv = pivot_row[col]
+        for r in range(nrows):
+            f = work[r][col]
+            if f and r != top:
+                work[r] = reduce([pv * a - f * b for a, b in zip(work[r], pivot_row)])
+        pivots.append(col)
+    return tuple(pivots)
+
+
+def _primitive(row: list) -> list:
+    """An int row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return row if g <= 1 else [a // g for a in row]
+
+
+def _square_and_multiply(x, n: int):
+    """x**n for n >= 1 under any associative multiplication, in about
+    2*log2(n) multiplies instead of n - 1."""
+    result = None
+    while True:
+        if n & 1:
+            result = x if result is None else result * x
+        n >>= 1
+        if not n:
+            return result
+        x = x * x
 
 
 def field_from_json(obj) -> RationalField | PrimeField:

@@ -101,3 +101,35 @@ def rand_polynomial(rng, ring, max_degree=3, nonzero=True) -> Polynomial:
     while nonzero and p.is_zero():
         p = Polynomial(ring, [rand_element(rng, ring) for _ in range(degree + 1)])
     return p
+
+
+def reference_rref(m: Matrix):
+    """(rows, rank, pivot columns) by element-wise Gauss-Jordan on field
+    elements: the elimination the package used before its field-owned
+    integer kernel, kept as the reference that kernel must reproduce."""
+    field = m.field
+    work = [list(row) for row in m.entries]
+    nrows, ncols = m.nrows, m.ncols
+    pivots = []
+    pivot_row = 0
+    for col in range(ncols):
+        if pivot_row == nrows:
+            break
+        hit = None
+        for r in range(pivot_row, nrows):
+            if work[r][col]:
+                hit = r
+                break
+        if hit is None:
+            continue
+        if hit != pivot_row:
+            work[pivot_row], work[hit] = work[hit], work[pivot_row]
+        inv = field.invert(work[pivot_row][col])
+        work[pivot_row] = [e * inv for e in work[pivot_row]]
+        for r in range(nrows):
+            if r != pivot_row and work[r][col]:
+                factor = work[r][col]
+                work[r] = [a - factor * b for a, b in zip(work[r], work[pivot_row])]
+        pivots.append(col)
+        pivot_row += 1
+    return tuple(map(tuple, work)), len(pivots), tuple(pivots)

@@ -132,6 +132,14 @@ def test_degree_n_no_cubic_for_zero_column_pair(monkeypatch, capsys):
     assert json.loads(out)["exists"] is False
 
 
+def test_degree_over_the_limit_exits_65(monkeypatch, capsys):
+    doc = {"ring": MAT2_RING, "elements": [[[0, 0], [1, -1]], [[0, 0], [0, 1]]]}
+    code, out, err = run_cli(monkeypatch, capsys, ["degree-n", "--n", "400"], doc)
+    assert code == 65
+    assert out == ""
+    assert "64" in err and "Traceback" not in err
+
+
 def test_verify_cubic_annihilator(monkeypatch, capsys):
     poly = {
         "ring": MAT2_RING,

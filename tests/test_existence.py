@@ -7,6 +7,7 @@ import pytest
 from ringroots import (
     DomainError,
     Matrix,
+    MatrixRing,
     MismatchError,
     Polynomial,
     Quaternion,
@@ -18,8 +19,12 @@ from ringroots import (
     rank,
     verify_roots,
 )
+from ringroots.existence import MAX_DEGREE
 
 from helpers import (
+    F2,
+    F3,
+    F7,
     HH,
     M2Q,
     QI,
@@ -30,6 +35,7 @@ from helpers import (
     rand_matrix,
     rank_gap_pair,
     rank_gap_cubic_coefficient,
+    reference_rref,
     zero_column_pair,
 )
 
@@ -314,3 +320,56 @@ def test_report_json_shape():
     assert missing["exists"] is False
     assert missing["coefficients"] is None
     assert missing["a0"] is None
+
+
+def test_degree_above_the_limit_is_rejected():
+    x1, x2 = involution_pair()
+    assert MAX_DEGREE == 64
+    assert degree_n_existence(x1, x2, MAX_DEGREE).n == MAX_DEGREE
+    for call in (degree_n_existence, invertible_difference_construct):
+        with pytest.raises(DomainError, match=str(MAX_DEGREE)):
+            call(x1, x2, MAX_DEGREE + 1)
+    with pytest.raises(DomainError, match=str(MAX_DEGREE)):
+        invertible_difference_construct(QI, QJ, 400)
+
+
+def _reference_ranks(x1, x2, n):
+    """Ranks of the stacked system [A_1^T | ... | A_{n-1}^T] and of it
+    augmented with B^T, A_i = x1^i - x2^i and B = x2^n - x1^n, each from
+    its own element-wise elimination."""
+    system = (x1 - x2).transpose()
+    for i in range(2, n):
+        system = system.augment((x1**i - x2**i).transpose())
+    augmented = system.augment((x2**n - x1**n).transpose())
+    return reference_rref(system)[1], reference_rref(augmented)[1]
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3, F7], ids=["Q", "F2", "F3", "F7"])
+def test_reported_ranks_match_independent_eliminations(field):
+    # The verdict, both ranks and the particular solution come from one
+    # elimination of the augmented system; here each rank is recomputed
+    # separately, so a solver that misreads its own elimination shows.
+    rng = random.Random(f"ranks/{field!r}")
+    verdicts = set()
+    for _ in range(60):
+        k = rng.randint(1, 3)
+        n = rng.randint(2, 4)
+        ring = MatrixRing(k, field)
+        x1 = rand_matrix(rng, field, k)
+        x2 = rand_matrix(rng, field, k)
+        if rng.random() < 0.5:
+            # a rank-one difference makes inconsistent systems common
+            u = rand_matrix(rng, field, k, 1)
+            v = rand_matrix(rng, field, 1, k)
+            x2 = x1 + u * v
+        if x1 == x2:
+            continue
+        report = quadratic_existence(x1, x2) if n == 2 else degree_n_existence(x1, x2, n)
+        rank_sys, rank_aug = _reference_ranks(x1, x2, n)
+        assert report.ring == ring
+        assert report.rank_difference_matrix == rank_sys
+        assert report.rank_augmented == rank_aug
+        assert report.exists == (rank_sys == rank_aug)
+        assert report.solution_space_dim == k * (k * (n - 1) - rank_sys)
+        verdicts.add(report.exists)
+    assert verdicts == {True, False}

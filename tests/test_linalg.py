@@ -7,6 +7,7 @@ small prime fields) literal enumeration of all candidate solutions.
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -25,10 +26,12 @@ from ringroots import (
 from helpers import (
     F2,
     F3,
+    F7,
     QQ,
     involution_pair,
     rand_matrix,
     rank_gap_pair,
+    reference_rref,
     zero_column_pair,
 )
 
@@ -102,6 +105,53 @@ def test_rref_shape_conditions_hold_on_random_matrices():
         res = rref(m)
         assert res.rank == len(res.pivot_columns)
         assert _is_rref(res.rref, res.pivot_columns)
+
+
+def _rref_case_entry(rng, field):
+    if rng.random() < 0.3:
+        return 0
+    if isinstance(field, PrimeField):
+        return rng.randrange(field.p)
+    if rng.random() < 0.3:
+        return Fraction(rng.randrange(-10**40, 10**40), rng.randrange(1, 10**40))
+    return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+
+def _rref_case(rng, field):
+    """A random matrix, square, tall or as wide as a stacked k x kn
+    system, with zero rows and columns and dependent rows mixed in."""
+    nrows = rng.randint(1, 4)
+    ncols = nrows * rng.randint(2, 5) if rng.random() < 0.4 else rng.randint(1, 5)
+    rows = [[_rref_case_entry(rng, field) for _ in range(ncols)] for _ in range(nrows)]
+    if rng.random() < 0.3:
+        rows[rng.randrange(nrows)] = [0] * ncols
+    if rng.random() < 0.3:
+        col = rng.randrange(ncols)
+        for row in rows:
+            row[col] = 0
+    if nrows > 1 and rng.random() < 0.4:
+        src, dst = rng.sample(range(nrows), 2)
+        scale = rng.randint(1, 6) if isinstance(field, PrimeField) else Fraction(-7, 3)
+        rows[dst] = [scale * e for e in rows[src]]
+    return Matrix.from_rows(field, rows)
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3, F7], ids=["Q", "F2", "F3", "F7"])
+def test_rref_matches_elementwise_reference(field):
+    # The field-owned fraction-free kernel against a literal copy of the
+    # element-wise Gauss-Jordan it replaced: same pivot rule, so the
+    # reduced matrix, rank and pivot columns must be identical.
+    rng = random.Random(f"rref/{field!r}")
+    ranks = set()
+    for _ in range(250):
+        m = _rref_case(rng, field)
+        got = rref(m)
+        rows, rk, pivots = reference_rref(m)
+        assert got.rref.entries == rows
+        assert all(field.contains(e) for row in got.rref.entries for e in row)
+        assert (got.rank, got.pivot_columns) == (rk, pivots)
+        ranks.add(rk < min(m.nrows, m.ncols))
+    assert ranks == {True, False}
 
 
 def test_rank_equals_rank_of_transpose():

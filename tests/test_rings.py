@@ -1,6 +1,8 @@
 """Ring descriptors: axioms, invertibility, JSON, mismatch rejection."""
 
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -90,6 +92,52 @@ def test_ring_pow():
     assert M2Q.pow(M2Q.element([[2, 0], [0, 2]]), 0) == M2Q.one
     x1, _ = rank_gap_pair()
     assert M2Q.pow(x1, 3) == x1
+
+
+def _repeated_multiply(x, n, one):
+    result = one
+    for _ in range(n):
+        result = result * x
+    return result
+
+
+def _forty_digits(rng):
+    return Fraction(rng.randrange(-10**40, 10**40), rng.randrange(10**39, 10**40))
+
+
+_POWER_BASES = [
+    (M2Q, M2Q.element([[_forty_digits(random.Random(i)) for i in (1, 2)],
+                       [_forty_digits(random.Random(i)) for i in (3, 4)]])),
+    (M3Q, M3Q.element([[1, "-1/2", 0], [2, 3, "1/3"], [0, -1, 1]])),
+    (MatrixRing(3, F7), MatrixRing(3, F7).element([[1, 2, 3], [4, 5, 6], [0, 1, 6]])),
+    (M2F2, M2F2.element([[1, 1], [0, 1]])),
+    (HH, Quaternion(*(_forty_digits(random.Random(i)) for i in (5, 6, 7, 8)))),
+    (HH, Quaternion(1, -2, "1/3", 4)),
+    (RAT, _forty_digits(random.Random(9))),
+    (ScalarRing(F7), F7.element(3)),
+]
+_POWER_IDS = ["M2Q-40-digits", "M3Q", "M3F7", "M2F2", "H-40-digits", "H", "Q-40-digits", "F7"]
+
+
+@pytest.mark.parametrize("ring, x", _POWER_BASES, ids=_POWER_IDS)
+def test_powers_match_repeated_multiply(ring, x):
+    # `**` squares and multiplies; `Ring.powers` extends a ladder one
+    # multiply at a time: both must give the literal product x*x*...*x.
+    expected = [_repeated_multiply(x, n, ring.one) for n in range(34)]
+    for n in (0, 1, 2, 7, 33):
+        assert x**n == expected[n]
+        assert ring.pow(x, n) == expected[n]
+    assert ring.powers(x, 33) == expected
+    assert ring.powers(x, 1) == expected[:2]
+
+
+def test_quaternion_identities_are_canonical_constants():
+    for value, validated in ((HH.zero, Quaternion()), (HH.one, Quaternion(1))):
+        assert value == validated and hash(value) == hash(validated)
+        assert all(type(v) is int for v in value._n) and type(value._den) is int
+        assert value._den == 1 and gcd(*value._n, value._den) == 1
+    assert HH.zero is HH.zero and HH.one is HH.one
+    assert not HH.zero and HH.one * QI == QI
 
 
 def test_descriptor_mismatch_is_rejected():
