@@ -25,14 +25,12 @@ from .existence import (
 )
 from .linalg import (
     RrefResult,
-    SolveOutcome,
     StackedSolveOutcome,
     matrix_inverse,
     nullspace_basis,
     rank,
     rref,
     solve_stacked,
-    solve_xa_eq_b,
 )
 from .matrices import Matrix
 from .oracle import (
@@ -84,7 +82,6 @@ __all__ = [
     "RingEnumeration",
     "RrefResult",
     "ScalarRing",
-    "SolveOutcome",
     "StackedSolveOutcome",
     "brute_force_exists",
     "conjugate_shift",
@@ -103,6 +100,5 @@ __all__ = [
     "ring_from_json",
     "rref",
     "solve_stacked",
-    "solve_xa_eq_b",
     "verify_roots",
 ]

@@ -11,8 +11,10 @@ stdout, diagnostics to stderr.  Exit codes are a stable contract:
     64  malformed input (JSON or argument syntax, JSON nested too deeply
         to decode, an integer literal over Python's int/str digit limit)
     65  semantic error (ring mismatch, equal roots, wrong ring kind, a
-        limit exceeded: prime modulus, degree over MAX_DEGREE, or a result
-        number with more digits than Python's int/str conversion limit)
+        limit exceeded: prime modulus, degree over MAX_DEGREE, a
+        cross-check over its ring cap or over MAX_CROSS_CHECK_WORK
+        pair-tuple checks, or a result number with more digits than
+        Python's int/str conversion limit)
     70  internal error (an unexpected exception; EX_SOFTWARE)
 """
 
@@ -25,7 +27,7 @@ from dataclasses import dataclass, replace
 
 from .construct import construct_with_roots, verify_roots
 from .errors import DomainError, MismatchError, ParseError
-from .existence import CriterionReport, constant_term, degree_n_existence, quadratic_existence
+from .existence import CriterionReport, _constant_term, degree_n_existence, quadratic_existence
 from .oracle import cross_check_criterion
 from .polynomials import Polynomial
 from .rings import MatrixRing, Ring, ring_from_json
@@ -122,7 +124,7 @@ def _emit(obj, pretty: bool):
 
 
 def cmd_construct(job: JobSpec, args) -> int:
-    trace = construct_with_roots(job.elements, exact_degree=args.exact_degree, ring=job.ring)
+    trace = construct_with_roots(job.elements, exact_degree=args.exact_degree)
     out = {"polynomial": trace.result.to_json() if trace.succeeded else None}
     if args.trace or not trace.succeeded:
         out["trace"] = trace.to_json()
@@ -152,7 +154,7 @@ def _criterion_with_override(job: JobSpec, report: CriterionReport, a1_json) -> 
     x1, x2 = job.elements[0], job.elements[1]
     if a1 * (x1 - x2) != x2 * x2 - x1 * x1:
         raise DomainError("the supplied a1 does not satisfy the coefficient equation")
-    a0 = constant_term((a1,), x1, x2, 2, ring=ring)
+    a0 = _constant_term((a1,), ring.powers(x1, 2))
     return replace(report, coefficients=(a1,), a0=a0)
 
 

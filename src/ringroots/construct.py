@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, MismatchError
+from .errors import DomainError
 from .polynomials import Polynomial
 from .rings import Ring, infer_ring
 
@@ -75,42 +75,39 @@ class ConstructionTrace:
         }
 
 
-def conjugate_shift(d, h, *, ring: Ring | None = None):
-    """Return h * d * h**-1 for invertible h.
+def conjugate_shift(d, h):
+    """Return h * d * h**-1 for invertible h, in the ring of d.
 
     When the returned element is a root of a left factor L, d itself is a
     root of the product L*Q with h = Q(d); this is what transports each
     new root through the factors already constructed.
     """
-    ring = infer_ring(d) if ring is None else ring
-    ring.check(d)
-    hinv = ring.invert(ring.check(h))
+    hinv = infer_ring(d).invert(h)
     if hinv is None:
         raise DomainError("conjugation needs an invertible element")
     return h * d * hinv
 
 
-def construct_with_roots(roots, exact_degree: bool = False, *, ring: Ring | None = None) -> ConstructionTrace:
+def construct_with_roots(roots, exact_degree: bool = False) -> ConstructionTrace:
     """Build a monic polynomial annihilating every element of `roots`.
 
-    Roots are folded in left to right, in input order.  The result has
-    degree at most len(roots), exactly len(roots) when `exact_degree`.
-    A nonzero, non-invertible evaluation value ends the construction with
-    a failed step and result None (possible over matrix rings only).
+    The ring is that of the first root.  Roots are folded in left to
+    right, in input order.  The result has degree at most len(roots),
+    exactly len(roots) when `exact_degree`.  A nonzero, non-invertible
+    evaluation value ends the construction with a failed step and result
+    None (possible over matrix rings only).
     """
     roots = list(roots)
     if not roots:
         raise DomainError("at least one root is required")
-    ring = infer_ring(roots[0]) if ring is None else ring
-    for r in roots:
-        ring.check(r)
+    ring = infer_ring(roots[0])
 
     poly = Polynomial.x_minus(ring, roots[0])
     steps = []
     for index in range(1, len(roots)):
         root = roots[index]
         h = poly.evaluate(root)
-        if ring.is_zero(h):
+        if not h:
             if exact_degree:
                 poly = Polynomial.x(ring) * poly
                 steps.append(ConstructionStep(index, h, BRANCH_PAD_WITH_X))
@@ -125,20 +122,19 @@ def construct_with_roots(roots, exact_degree: bool = False, *, ring: Ring | None
         steps.append(ConstructionStep(index, h, BRANCH_CONJUGATE, shifted))
         poly = Polynomial.x_minus(ring, shifted) * poly
 
-    residuals = verify_roots(poly, roots)
-    if any(not ring.is_zero(r) for r in residuals):
-        raise RuntimeError(
-            "internal error: constructed polynomial does not annihilate its roots"
-        )
-    return ConstructionTrace(ring, tuple(steps), poly)
+    return ConstructionTrace(ring, tuple(steps), _assert_annihilates(poly, roots))
 
 
 def verify_roots(p: Polynomial, roots) -> tuple:
-    """Evaluate p at each candidate root; all-zero means all are roots."""
-    ring = p.ring
-    residuals = []
-    for r in roots:
-        if not ring.contains(r):
-            raise MismatchError(f"{r!r} is not an element of {ring!r}")
-        residuals.append(p.evaluate(r))
-    return tuple(residuals)
+    """Evaluate p at each candidate root; all-zero means all are roots.
+    A candidate outside p's ring raises MismatchError."""
+    return tuple(p.evaluate(r) for r in roots)
+
+
+def _assert_annihilates(poly: Polynomial, roots) -> Polynomial:
+    """The referee every constructed polynomial passes before it leaves
+    the package: poly itself when it vanishes at each of `roots`, and
+    RuntimeError otherwise, since that can only be a bug."""
+    if any(verify_roots(poly, roots)):
+        raise RuntimeError("internal error: a constructed polynomial does not annihilate its roots")
+    return poly

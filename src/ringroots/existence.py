@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .construct import _assert_annihilates
 from .errors import DomainError, MismatchError
 from .linalg import rank, solve_stacked  # noqa: F401  (rank stays importable from here)
 from .matrices import Matrix
@@ -80,20 +81,9 @@ def _matrix_pair_ring(x1, x2) -> MatrixRing:
     ring = infer_ring(x1)
     if not isinstance(ring, MatrixRing):
         raise MismatchError("existence criteria apply to square matrices over a field")
-    ring.check(x2)
     if x1 == x2:
         raise DomainError("the two prescribed roots must be distinct")
     return ring
-
-
-def _assert_annihilates(ring, coefficients, a0, x1, x2):
-    poly = _monic_polynomial(ring, coefficients, a0)
-    for x in (x1, x2):
-        if not ring.is_zero(poly.evaluate(x)):
-            raise RuntimeError(
-                "internal error: existence criterion produced a non-annihilating polynomial"
-            )
-    return poly
 
 
 def _check_degree(n: int):
@@ -128,7 +118,7 @@ def _criterion(x1: Matrix, x2: Matrix, n: int) -> CriterionReport:
     if outcome.consistent:
         coefficients = outcome.particular
         a0 = _constant_term(coefficients, powers1)
-        _assert_annihilates(ring, coefficients, a0, x1, x2)
+        _assert_annihilates(_monic_polynomial(ring, coefficients, a0), (x1, x2))
     return CriterionReport(
         n=n,
         rank_difference_matrix=outcome.rank,
@@ -141,7 +131,7 @@ def _criterion(x1: Matrix, x2: Matrix, n: int) -> CriterionReport:
     )
 
 
-def invertible_difference_construct(x1, x2, n: int, free_coefficients=None, *, ring: Ring | None = None) -> Polynomial | None:
+def invertible_difference_construct(x1, x2, n: int, free_coefficients=None) -> Polynomial | None:
     """Direct degree-n construction when some x1^j - x2^j is invertible.
 
     Scans j = 1, ..., n-1 in increasing order, takes the first invertible
@@ -150,11 +140,9 @@ def invertible_difference_construct(x1, x2, n: int, free_coefficients=None, *, r
     assigned to the non-solved indices in increasing order).  Returns
     None when every power difference is singular; the joint-system
     criterion may still succeed in that case.  Works over any supported
-    ring, not just matrices; n is at most MAX_DEGREE.
+    ring, not just matrices, the ring of x1; n is at most MAX_DEGREE.
     """
-    ring = infer_ring(x1) if ring is None else ring
-    ring.check(x1)
-    ring.check(x2)
+    ring = infer_ring(x1)
     if x1 == x2:
         raise DomainError("the two prescribed roots must be distinct")
     _check_degree(n)
@@ -185,17 +173,17 @@ def invertible_difference_construct(x1, x2, n: int, free_coefficients=None, *, r
 
     coefficients = tuple(a[i] for i in range(1, n))
     a0 = _constant_term(coefficients, powers1)
-    return _assert_annihilates(ring, coefficients, a0, x1, x2)
+    return _assert_annihilates(_monic_polynomial(ring, coefficients, a0), (x1, x2))
 
 
-def constant_term(coefficients, x1, x2, n: int, *, ring: Ring | None = None):
+def constant_term(coefficients, x1, x2, n: int):
     """Complete x^n + sum a_i x^i with the constant that kills both roots.
 
     Returns -(sum a_i x1^i) - x1^n and checks it agrees with the x2
     version; a disagreement means the given coefficients do not satisfy
-    the subtracted two-root equation.
+    the subtracted two-root equation.  The ring is that of x1.
     """
-    ring = infer_ring(x1) if ring is None else ring
+    ring = infer_ring(x1)
     coefficients = [ring.check(c) for c in coefficients]
     if len(coefficients) != n - 1:
         raise DomainError(f"expected {n - 1} coefficients for degree {n}")

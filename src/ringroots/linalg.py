@@ -24,23 +24,11 @@ class RrefResult:
 
 
 @dataclass(frozen=True)
-class SolveOutcome:
-    """Result of a one-unknown-matrix linear solve.
-
-    `nullspace_dim` is the number of free field parameters in the general
-    solution of the associated homogeneous system, summed over all unknown
-    rows; it is reported whether or not the system is consistent.
-    """
-
-    consistent: bool
-    particular: Matrix | None
-    nullspace_dim: int
-
-
-@dataclass(frozen=True)
 class StackedSolveOutcome:
-    """Like SolveOutcome, with one particular matrix per unknown block and
-    the ranks of [A_1^T | ... | A_m^T] and of it with B^T appended."""
+    """Result of solving sum_j X_j * A_j = B: one particular matrix per
+    unknown block, the ranks of [A_1^T | ... | A_m^T] and of it with B^T
+    appended, and `nullspace_dim`, the free field parameters of the
+    homogeneous system over all unknown rows, consistent or not."""
 
     consistent: bool
     particular: tuple[Matrix, ...] | None
@@ -84,14 +72,6 @@ def matrix_inverse(m: Matrix) -> Matrix | None:
         raise MismatchError("only square matrices can be inverted")
     outcome = solve_stacked((m,), Matrix.identity(m.field, m.nrows))
     return outcome.particular[0] if outcome.rank == m.nrows else None
-
-
-def solve_xa_eq_b(a: Matrix, b: Matrix) -> SolveOutcome:
-    """Solve X * a = b for a square unknown X, both sides k x k:
-    `solve_stacked` with the single block a."""
-    outcome = solve_stacked((a,), b)
-    particular = outcome.particular[0] if outcome.consistent else None
-    return SolveOutcome(outcome.consistent, particular, outcome.nullspace_dim)
 
 
 def solve_stacked(blocks, rhs: Matrix) -> StackedSolveOutcome:

@@ -14,14 +14,18 @@ import itertools
 from dataclasses import dataclass
 from operator import mul
 
+from .construct import _assert_annihilates
 from .errors import DomainError
-from .existence import _constant_term, degree_n_existence, quadratic_existence
+from .existence import _check_degree, _constant_term, _monic_polynomial, degree_n_existence
 from .matrices import Matrix, _trusted
-from .polynomials import Polynomial
 from .rings import MatrixRing, Ring
 from .scalars import PrimeField
 
 DEFAULT_CAP = 65536
+
+# Most ordered pairs times coefficient tuples one cross-check may try
+# (M_2(F_3) at n = 2 needs 524,880); more raises DomainError (exit 65).
+MAX_CROSS_CHECK_WORK = 2**20
 
 
 @dataclass(frozen=True)
@@ -55,9 +59,13 @@ class RingEnumeration:
 def enumerate_ring(ring: Ring, cap: int = DEFAULT_CAP) -> RingEnumeration:
     if not isinstance(ring, MatrixRing) or not isinstance(ring.field, PrimeField):
         raise DomainError("only matrix rings over a prime field can be enumerated")
-    size = ring.field.p ** (ring.k * ring.k)
+    # p >= 2, so p^e > cap for every e >= cap.bit_length(): the power
+    # decides the cap without building p^(k*k) for a large k.
+    size = ring.field.p ** min(ring.k * ring.k, cap.bit_length())
     if size > cap:
-        raise DomainError(f"ring has {size} elements, above the cap of {cap}")
+        raise DomainError(
+            f"ring has {ring.field.p}^{ring.k * ring.k} elements, above the cap of {cap}"
+        )
     return RingEnumeration(ring, size)
 
 
@@ -80,22 +88,23 @@ def brute_force_exists(
     is returned and double-checked by full polynomial evaluation at both
     roots.
     """
-    ring.check(x1)
-    ring.check(x2)
-    return _search(x1, x2, n, ring, _search_space(ring, n, cap))
+    return _search(x1, x2, n, ring, _search_space(_bounded_enumeration(ring, n, cap)))
 
 
-def _search_space(ring: Ring, n: int, cap: int) -> tuple[list, list]:
-    """All elements of `ring` in enumeration order, and the residue rows
-    of each, once the degree and the number of coefficient tuples pass
-    their checks."""
-    if n < 2:
-        raise DomainError("degree must be at least 2")
+def _bounded_enumeration(ring: Ring, n: int, cap: int) -> RingEnumeration:
+    """The enumeration of `ring`, once the degree, the ring size and the
+    number of coefficient tuples pass their checks."""
+    _check_degree(n)
     enumeration = enumerate_ring(ring, cap)
     if enumeration.size ** (n - 1) > cap:
         raise DomainError(
             f"{enumeration.size ** (n - 1)} coefficient tuples, above the cap of {cap}"
         )
+    return enumeration
+
+
+def _search_space(enumeration: RingEnumeration) -> tuple[list, list]:
+    """All elements of the enumeration in order, and the residue rows of each."""
     elements = list(enumeration)
     return elements, [_residue_rows(a) for a in elements]
 
@@ -139,10 +148,7 @@ def _search(
         return BruteForceResult(False, None, None, 0)
 
     a0 = _constant_term(witness, x1_powers)
-    poly = Polynomial(ring, [a0, *witness, ring.one])
-    for x in (x1, x2):
-        if not ring.is_zero(poly.evaluate(x)):
-            raise RuntimeError("internal error: brute-force witness fails evaluation")
+    _assert_annihilates(_monic_polynomial(ring, witness, a0), (x1, x2))
     return BruteForceResult(True, witness, a0, count)
 
 
@@ -194,17 +200,22 @@ class CrossCheckReport:
 
 def cross_check_criterion(ring: Ring, n: int, cap: int = DEFAULT_CAP) -> CrossCheckReport:
     """Compare the rank criterion against exhaustive search on all ordered
-    pairs of distinct elements.  The disagreement list must come back
-    empty; anything else is a bug in one of the two paths."""
-    space = _search_space(ring, n, cap)
+    pairs of distinct elements, at most MAX_CROSS_CHECK_WORK tuples in all.
+    The disagreement list must come back empty; anything else is a bug in
+    one of the two paths."""
+    enumeration = _bounded_enumeration(ring, n, cap)
+    work = enumeration.size * (enumeration.size - 1) * enumeration.size ** (n - 1)
+    if work > MAX_CROSS_CHECK_WORK:
+        raise DomainError(
+            f"cross-check needs {work} pair-tuple checks, above the limit of "
+            f"{MAX_CROSS_CHECK_WORK} (MAX_CROSS_CHECK_WORK)"
+        )
+    space = _search_space(enumeration)
     records = []
     disagreements = []
     exists_count = 0
     for x1, x2 in itertools.permutations(space[0], 2):
-        if n == 2:
-            report = quadratic_existence(x1, x2)
-        else:
-            report = degree_n_existence(x1, x2, n)
+        report = degree_n_existence(x1, x2, n)
         brute = _search(x1, x2, n, ring, space)
         record = PairRecord(
             x1, x2, report.exists, brute.exists, brute.count, report.solution_space_dim

@@ -22,7 +22,7 @@ class Polynomial:
 
     def __init__(self, ring: Ring, coefficients):
         coeffs = [ring.check(c) for c in coefficients]
-        while coeffs and ring.is_zero(coeffs[-1]):
+        while coeffs and not coeffs[-1]:
             coeffs.pop()
         self.ring = ring
         self.coeffs = tuple(coeffs)
@@ -46,7 +46,7 @@ class Polynomial:
     @classmethod
     def x_minus(cls, ring: Ring, a) -> "Polynomial":
         """The monic linear factor x - a."""
-        return cls(ring, (ring.neg(a), ring.one))
+        return cls(ring, (-ring.check(a), ring.one))
 
     @classmethod
     def from_coefficients(cls, ring: Ring, values) -> "Polynomial":

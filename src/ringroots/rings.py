@@ -2,8 +2,11 @@
 
 A descriptor validates payloads, supplies the identities, answers
 invertibility queries, and owns the JSON wire format of its elements.
-Binary operations on payloads from different descriptors are rejected,
-never coerced.
+Arithmetic is the payloads' own operators: `Matrix` rejects mixed
+fields and shapes, `PrimeFieldElement` mixed moduli, each with a
+`MismatchError`, so nothing is coerced across descriptors.  Quaternions
+accept int and `Fraction` scalars by design, as rational quaternions
+contain the rationals.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .scalars import (
 
 
 class Ring:
-    """Shared surface: identities, validation, arithmetic, JSON."""
+    """Shared surface: identities, validation, invertibility, JSON."""
 
     kind = ""
 
@@ -45,23 +48,6 @@ class Ring:
 
     def element(self, value):
         raise NotImplementedError
-
-    def add(self, a, b):
-        return self.check(a) + self.check(b)
-
-    def sub(self, a, b):
-        return self.check(a) - self.check(b)
-
-    def mul(self, a, b):
-        return self.check(a) * self.check(b)
-
-    def neg(self, a):
-        return -self.check(a)
-
-    def pow(self, a, n: int):
-        if n < 0:
-            raise DomainError("ring powers take nonnegative exponents")
-        return self.check(a) ** n
 
     def powers(self, x, n: int) -> list:
         """[x^0, x^1, ..., x^n], each power one multiply from the last."""

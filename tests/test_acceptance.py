@@ -156,8 +156,8 @@ def test_criterion_6_product_evaluation_identity():
             h = right.evaluate(d)
             if ring.invert(h) is None:
                 continue
-            shifted = conjugate_shift(d, h, ring=ring)
-            assert (left * right).evaluate(d) == ring.mul(left.evaluate(shifted), h)
+            shifted = conjugate_shift(d, h)
+            assert (left * right).evaluate(d) == left.evaluate(shifted) * h
             checked += 1
     for ring in (HH, M3Q):
         for _ in range(500):

@@ -256,6 +256,15 @@ def test_cross_check_emits_census_lines(monkeypatch, capsys):
     assert summary["disagreements"] == 0
 
 
+@pytest.mark.parametrize("k, p, n", [(1, 65521, 2), (2, 5, 2), (10000, 3, 2), (2, 3, 30000000)])
+def test_cross_check_over_a_work_limit_exits_65(monkeypatch, capsys, k, p, n):
+    doc = {"ring": {"kind": "matrix", "k": k, "field": {"kind": "prime", "p": p}}, "n": n}
+    code, out, err = run_cli(monkeypatch, capsys, ["cross-check"], doc)
+    assert code == 65
+    assert out == ""
+    assert "Traceback" not in err
+
+
 def test_emitted_polynomial_round_trips(monkeypatch, capsys):
     doc = {
         "ring": QUAT_RING,

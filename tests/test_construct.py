@@ -54,7 +54,7 @@ def test_conjugate_shift_commutative_ring_is_trivial():
         h = rand_fraction(rng)
         if h == 0:
             continue
-        assert conjugate_shift(d, h, ring=RAT) == d
+        assert conjugate_shift(d, h) == d
 
 
 def test_conjugate_shift_requires_invertible():
@@ -91,7 +91,7 @@ def test_duplicate_root_pads_with_x_under_exact_degree():
 
 
 def test_commutative_case_degenerates_to_classical_product():
-    trace = construct_with_roots([QQ.element(2), QQ.element(5)], ring=RAT)
+    trace = construct_with_roots([QQ.element(2), QQ.element(5)])
     assert trace.result == Polynomial.from_coefficients(RAT, [10, -7, 1])
 
 
@@ -106,7 +106,7 @@ def test_commutative_product_matches_symmetric_functions():
             c = rand_fraction(rng, span=9)
             if c not in roots:
                 roots.append(c)
-        trace = construct_with_roots(roots, ring=RAT)
+        trace = construct_with_roots(roots)
         assert trace.succeeded
         coeffs = []
         for m in range(n + 1):
@@ -151,7 +151,7 @@ def test_success_always_verifies():
     for ring in (HH, M2Q):
         for _ in range(100):
             roots = [rand_element(rng, ring) for _ in range(rng.randint(1, 4))]
-            trace = construct_with_roots(roots, ring=ring)
+            trace = construct_with_roots(roots)
             if trace.succeeded:
                 assert all(ring.is_zero(r) for r in verify_roots(trace.result, roots))
 

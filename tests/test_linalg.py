@@ -20,7 +20,6 @@ from ringroots import (
     rank,
     rref,
     solve_stacked,
-    solve_xa_eq_b,
 )
 
 from helpers import (
@@ -165,26 +164,26 @@ def test_rank_equals_rank_of_transpose():
 def test_solve_xa_known_system():
     a = Matrix.from_rows(QQ, [[0, 0], [1, -2]])
     b = Matrix.from_rows(QQ, [[0, 0], [-1, 2]])
-    outcome = solve_xa_eq_b(a, b)
+    outcome = solve_stacked((a,), b)
     assert outcome.consistent
-    assert outcome.particular == Matrix.from_rows(QQ, [[0, 0], [0, -1]])
-    assert outcome.particular * a == b
+    assert outcome.particular == (Matrix.from_rows(QQ, [[0, 0], [0, -1]]),)
+    assert outcome.particular[0] * a == b
     assert outcome.nullspace_dim == 2
 
 
 def test_solve_xa_identity_coefficient():
     rng = random.Random(8)
     b = rand_matrix(rng, QQ, 3)
-    outcome = solve_xa_eq_b(Matrix.identity(QQ, 3), b)
+    outcome = solve_stacked((Matrix.identity(QQ, 3),), b)
     assert outcome.consistent
-    assert outcome.particular == b
+    assert outcome.particular == (b,)
     assert outcome.nullspace_dim == 0
 
 
 def test_solve_xa_inconsistent_system():
     a = Matrix.from_rows(QQ, [[0, 0], [1, -2]])
     b = Matrix.from_rows(QQ, [[1, 0], [0, 0]])
-    outcome = solve_xa_eq_b(a, b)
+    outcome = solve_stacked((a,), b)
     assert not outcome.consistent
     assert outcome.particular is None
     # independent check: take the same system to F_3 and F_5 (where the
@@ -203,9 +202,9 @@ def test_solve_xa_inconsistent_system():
 
 def test_solve_xa_mismatch_errors():
     with pytest.raises(MismatchError):
-        solve_xa_eq_b(Matrix.identity(QQ, 2), Matrix.identity(QQ, 3))
+        solve_stacked((Matrix.identity(QQ, 2),), Matrix.identity(QQ, 3))
     with pytest.raises(MismatchError):
-        solve_xa_eq_b(Matrix.from_rows(QQ, [[1, 2]]), Matrix.from_rows(QQ, [[1, 2]]))
+        solve_stacked((Matrix.from_rows(QQ, [[1, 2]]),), Matrix.from_rows(QQ, [[1, 2]]))
 
 
 def test_consistency_matches_stacked_rank_formulation():
@@ -217,10 +216,10 @@ def test_consistency_matches_stacked_rank_formulation():
         k = rng.randint(1, 3)
         a = rand_matrix(rng, field, k)
         b = rand_matrix(rng, field, k)
-        outcome = solve_xa_eq_b(a, b)
+        outcome = solve_stacked((a,), b)
         assert outcome.consistent == (rank(a.stack(b)) == rank(a))
         if outcome.consistent:
-            assert outcome.particular * a == b
+            assert outcome.particular[0] * a == b
         seen[outcome.consistent] += 1
     assert seen[True] > 10 and seen[False] > 10
 
@@ -233,7 +232,7 @@ def test_solution_count_is_p_to_the_dim_over_f2():
     for _ in range(60):
         a = rng.choice(all_ms)
         b = rng.choice(all_ms)
-        outcome = solve_xa_eq_b(a, b)
+        outcome = solve_stacked((a,), b)
         count = sum(1 for x in all_ms if x * a == b)
         if outcome.consistent:
             consistent_seen += 1

@@ -9,11 +9,14 @@ from ringroots import (
     DomainError,
     Matrix,
     MatrixRing,
+    PrimeField,
     brute_force_exists,
     cross_check_criterion,
     enumerate_ring,
     quadratic_existence,
 )
+from ringroots.existence import MAX_DEGREE
+from ringroots.oracle import MAX_CROSS_CHECK_WORK
 
 from helpers import F2, F3, M2F2, M2Q
 
@@ -93,6 +96,39 @@ def test_brute_force_cap():
         brute_force_exists(M2F2.one, M2F2.zero, 4, M2F2, cap=1000)
 
 
+def test_cross_check_work_over_the_limit_is_rejected_before_the_first_pair():
+    # ordered pairs x coefficient tuples: 65521*65520*65521 over F_65521
+    # and 625*624*625 over M_2(F_5); both rings pass the size cap
+    for ring in (MatrixRing(1, PrimeField(65521)), MatrixRing(2, PrimeField(5))):
+        with pytest.raises(DomainError, match="MAX_CROSS_CHECK_WORK"):
+            cross_check_criterion(ring, 2)
+
+
+def test_cross_check_work_limit_admits_the_small_censuses():
+    # M_2(F_2) at n = 2, 3, 4 and M_2(F_3) at n = 2
+    for size, n in ((16, 2), (16, 3), (16, 4), (81, 2)):
+        assert size * (size - 1) * size ** (n - 1) <= MAX_CROSS_CHECK_WORK
+
+
+def test_ring_size_is_decided_without_building_the_power():
+    # |M_10000(F_3)| = 3^(10^8), a number of about 1.6e8 bits
+    huge = MatrixRing(10000, F3)
+    with pytest.raises(DomainError):
+        enumerate_ring(huge)
+    with pytest.raises(DomainError):
+        cross_check_criterion(huge, 2)
+
+
+def test_search_degree_follows_the_criteria_limit():
+    ring = MatrixRing(2, F3)
+    with pytest.raises(DomainError, match=str(MAX_DEGREE)):
+        cross_check_criterion(ring, 30_000_000)
+    with pytest.raises(DomainError, match=str(MAX_DEGREE)):
+        brute_force_exists(ring.one, ring.zero, 30_000_000, ring)
+    with pytest.raises(DomainError):
+        cross_check_criterion(ring, 1)
+
+
 def test_cross_check_commutative_one_by_one():
     ring = MatrixRing(1, F3)
     report = cross_check_criterion(ring, 2)
@@ -134,8 +170,8 @@ def _reference_brute_force(x1, x2, n, ring):
         Matrix.from_rows(ring.field, [digits[i * k : (i + 1) * k] for i in range(k)])
         for digits in itertools.product(range(p), repeat=k * k)
     ]
-    x1_powers = [ring.pow(x1, i) for i in range(n + 1)]
-    x2_powers = [ring.pow(x2, i) for i in range(n + 1)]
+    x1_powers = [x1**i for i in range(n + 1)]
+    x2_powers = [x2**i for i in range(n + 1)]
 
     count = 0
     witness = None

@@ -43,15 +43,15 @@ def test_ring_axioms_on_random_triples(ring):
     one, zero = ring.one, ring.zero
     for _ in range(500):
         a, b, c = (rand_element(rng, ring) for _ in range(3))
-        assert ring.add(ring.add(a, b), c) == ring.add(a, ring.add(b, c))
-        assert ring.add(a, b) == ring.add(b, a)
-        assert ring.mul(ring.mul(a, b), c) == ring.mul(a, ring.mul(b, c))
-        assert ring.mul(a, ring.add(b, c)) == ring.add(ring.mul(a, b), ring.mul(a, c))
-        assert ring.mul(ring.add(b, c), a) == ring.add(ring.mul(b, a), ring.mul(c, a))
-        assert ring.add(a, zero) == a
-        assert ring.mul(a, one) == a
-        assert ring.mul(one, a) == a
-        assert ring.is_zero(ring.add(a, ring.neg(a)))
+        assert (a + b) + c == a + (b + c)
+        assert a + b == b + a
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert (b + c) * a == b * a + c * a
+        assert a + zero == a
+        assert a * one == a
+        assert one * a == a
+        assert ring.is_zero(a + (-a))
 
 
 @pytest.mark.parametrize("ring", AXIOM_RINGS, ids=repr)
@@ -63,8 +63,8 @@ def test_units_multiply_to_one_both_sides(ring):
         inv = ring.invert(a)
         if inv is None:
             continue
-        assert ring.mul(a, inv) == ring.one
-        assert ring.mul(inv, a) == ring.one
+        assert a * inv == ring.one
+        assert inv * a == ring.one
         found += 1
     assert found > 20
 
@@ -88,10 +88,10 @@ def test_scalar_invertibility():
 
 
 def test_ring_pow():
-    assert HH.pow(QI, 2) == Quaternion(-1)
-    assert M2Q.pow(M2Q.element([[2, 0], [0, 2]]), 0) == M2Q.one
+    assert QI**2 == Quaternion(-1)
+    assert M2Q.element([[2, 0], [0, 2]]) ** 0 == M2Q.one
     x1, _ = rank_gap_pair()
-    assert M2Q.pow(x1, 3) == x1
+    assert x1**3 == x1
 
 
 def _repeated_multiply(x, n, one):
@@ -126,7 +126,6 @@ def test_powers_match_repeated_multiply(ring, x):
     expected = [_repeated_multiply(x, n, ring.one) for n in range(34)]
     for n in (0, 1, 2, 7, 33):
         assert x**n == expected[n]
-        assert ring.pow(x, n) == expected[n]
     assert ring.powers(x, 33) == expected
     assert ring.powers(x, 1) == expected[:2]
 
@@ -146,7 +145,7 @@ def test_descriptor_mismatch_is_rejected():
     with pytest.raises(MismatchError):
         M2Q.check(M2F2.one)
     with pytest.raises(MismatchError):
-        M2Q.add(M2Q.one, M2F2.one)
+        M2Q.one + M2F2.one
     with pytest.raises(MismatchError):
         HH.check(QQ.element(1))
     with pytest.raises(MismatchError):
