@@ -27,7 +27,6 @@ from .linalg import (
     RrefResult,
     StackedSolveOutcome,
     matrix_inverse,
-    nullspace_basis,
     rank,
     rref,
     solve_stacked,
@@ -94,7 +93,6 @@ __all__ = [
     "infer_ring",
     "invertible_difference_construct",
     "matrix_inverse",
-    "nullspace_basis",
     "quadratic_existence",
     "rank",
     "ring_from_json",

@@ -12,9 +12,10 @@ stdout, diagnostics to stderr.  Exit codes are a stable contract:
         to decode, an integer literal over Python's int/str digit limit)
     65  semantic error (ring mismatch, equal roots, wrong ring kind, a
         limit exceeded: prime modulus, degree over MAX_DEGREE, a
-        cross-check over its ring cap or over MAX_CROSS_CHECK_WORK
-        pair-tuple checks, or a result number with more digits than
-        Python's int/str conversion limit)
+        cross-check over MAX_ENUMERATION ring elements or coefficient
+        tuples per pair or over MAX_CROSS_CHECK_WORK pair-tuple checks,
+        or a result number with more digits than Python's int/str
+        conversion limit)
     70  internal error (an unexpected exception; EX_SOFTWARE)
 """
 
@@ -248,6 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def _over_digit_limit(exc: ValueError) -> bool:
     # CPython raises a plain ValueError with this wording when an int has
     # more decimal digits than sys.get_int_max_str_digits() allows.
@@ -263,9 +267,8 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_PARSE

@@ -131,16 +131,15 @@ def _criterion(x1: Matrix, x2: Matrix, n: int) -> CriterionReport:
     )
 
 
-def invertible_difference_construct(x1, x2, n: int, free_coefficients=None) -> Polynomial | None:
+def invertible_difference_construct(x1, x2, n: int) -> Polynomial | None:
     """Direct degree-n construction when some x1^j - x2^j is invertible.
 
     Scans j = 1, ..., n-1 in increasing order, takes the first invertible
-    power difference, and solves for a_j with every other coefficient
-    fixed (zero by default, or the entries of `free_coefficients`,
-    assigned to the non-solved indices in increasing order).  Returns
-    None when every power difference is singular; the joint-system
-    criterion may still succeed in that case.  Works over any supported
-    ring, not just matrices, the ring of x1; n is at most MAX_DEGREE.
+    power difference, sets every other a_i to zero and solves for
+    a_j = (x2^n - x1^n) * (x1^j - x2^j)^-1.  Returns None when every
+    power difference is singular; the joint-system criterion may still
+    succeed in that case.  Works over any supported ring, not just
+    matrices, the ring of x1; n is at most MAX_DEGREE.
     """
     ring = infer_ring(x1)
     if x1 == x2:
@@ -148,30 +147,15 @@ def invertible_difference_construct(x1, x2, n: int, free_coefficients=None) -> P
     _check_degree(n)
 
     powers1, powers2 = ring.powers(x1, n), ring.powers(x2, n)
-    diffs = {j: powers1[j] - powers2[j] for j in range(1, n)}
-    for solved_index in range(1, n):
-        inverse = ring.invert(diffs[solved_index])
+    for j in range(1, n):
+        inverse = ring.invert(powers1[j] - powers2[j])
         if inverse is not None:
             break
     else:
         return None
 
-    other_indices = [i for i in range(1, n) if i != solved_index]
-    if free_coefficients is None:
-        free_coefficients = [ring.zero] * len(other_indices)
-    free_coefficients = [ring.element(c) for c in free_coefficients]
-    if len(free_coefficients) != len(other_indices):
-        raise DomainError(
-            f"expected {len(other_indices)} free coefficients, got {len(free_coefficients)}"
-        )
-
-    a = dict(zip(other_indices, free_coefficients))
-    target = powers2[n] - powers1[n]
-    for i in other_indices:
-        target = target - a[i] * diffs[i]
-    a[solved_index] = target * inverse
-
-    coefficients = tuple(a[i] for i in range(1, n))
+    coefficients = [ring.zero] * (n - 1)
+    coefficients[j - 1] = (powers2[n] - powers1[n]) * inverse
     a0 = _constant_term(coefficients, powers1)
     return _assert_annihilates(_monic_polynomial(ring, coefficients, a0), (x1, x2))
 

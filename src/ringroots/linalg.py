@@ -48,23 +48,6 @@ def rank(m: Matrix) -> int:
     return rref(m).rank
 
 
-def nullspace_basis(m: Matrix) -> tuple[Matrix, ...]:
-    """Column vectors spanning {v : m * v = 0}; one per free column."""
-    field = m.field
-    rr = rref(m)
-    pivot_of_col = {c: r for r, c in enumerate(rr.pivot_columns)}
-    basis = []
-    for free in range(m.ncols):
-        if free in pivot_of_col:
-            continue
-        v = [field.zero] * m.ncols
-        v[free] = field.one
-        for col, row in pivot_of_col.items():
-            v[col] = -rr.rref[row, free]
-        basis.append(_trusted(field, tuple((e,) for e in v)))
-    return tuple(basis)
-
-
 def matrix_inverse(m: Matrix) -> Matrix | None:
     """Two-sided inverse of a square matrix, or None when rank < k: the
     unique X with X * m = 1, from `solve_stacked`."""

@@ -2,13 +2,13 @@
 
 Shapes are checked on every operation; a mismatch raises instead of
 broadcasting.  Non-square shapes appear only inside the linear-algebra
-routines (stacked and augmented systems).
+routines (augmented systems).
 
 Entries are validated once, at the boundary.  ``Matrix(...)``,
 ``from_rows`` and ``from_json`` check every entry against the field, and
 ring descriptors check membership of whole matrices.  Every matrix the
-package computes itself (sums, products, transposes, stacks, the
-identity and zero matrices, eliminations, solutions, ring enumerations)
+package computes itself (sums, products, transposes, augmentations,
+the identity and zero matrices, eliminations, solutions, ring enumerations)
 is built from entries already known to be valid, so it goes through
 ``_trusted``, which skips the per-entry check.  Products are delegated
 to the field descriptor's ``matmul``; over F_p it works on raw residues.
@@ -69,12 +69,6 @@ class Matrix:
         i, j = key
         return self.entries[i][j]
 
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
-
-    def column(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.entries)
-
     def _check_same_shape(self, other):
         if not isinstance(other, Matrix):
             raise MismatchError(f"expected a matrix, got {other!r}")
@@ -130,12 +124,6 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         return _trusted(self.field, tuple(zip(*self.entries)))
-
-    def stack(self, other: "Matrix") -> "Matrix":
-        """Rows of `other` appended below the rows of `self`."""
-        if self.field != other.field or self.ncols != other.ncols:
-            raise MismatchError("stacking needs the same field and column count")
-        return _trusted(self.field, self.entries + other.entries)
 
     def augment(self, other: "Matrix") -> "Matrix":
         """Columns of `other` appended to the right of `self`."""

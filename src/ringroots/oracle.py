@@ -21,7 +21,9 @@ from .matrices import Matrix, _trusted
 from .rings import MatrixRing, Ring
 from .scalars import PrimeField
 
-DEFAULT_CAP = 65536
+# Most elements a ring, and most coefficient tuples a pair, the oracle
+# enumerates; more raises DomainError (exit 65).
+MAX_ENUMERATION = 65536
 
 # Most ordered pairs times coefficient tuples one cross-check may try
 # (M_2(F_3) at n = 2 needs 524,880); more raises DomainError (exit 65).
@@ -34,37 +36,28 @@ class RingEnumeration:
 
     Entries are produced row-major as base-p digits of a counter, most
     significant digit first, so the zero matrix comes first and the order
-    is reproducible.
+    is reproducible.  `size` is the element count, p^(k*k).
     """
 
     ring: MatrixRing
     size: int
 
     def __iter__(self):
-        field = self.ring.field
-        p = field.p
-        k = self.ring.k
-        cells = k * k
-        scalars = tuple(field.elements())
-        for counter in range(self.size):
-            entries = []
-            v = counter
-            for _ in range(cells):
-                entries.append(scalars[v % p])
-                v //= p
-            entries.reverse()
-            yield _trusted(field, tuple(tuple(entries[i * k : (i + 1) * k]) for i in range(k)))
+        field, k = self.ring.field, self.ring.k
+        for entries in itertools.product(field.elements(), repeat=k * k):
+            yield _trusted(field, tuple(entries[i * k : (i + 1) * k] for i in range(k)))
 
 
-def enumerate_ring(ring: Ring, cap: int = DEFAULT_CAP) -> RingEnumeration:
+def enumerate_ring(ring: Ring) -> RingEnumeration:
     if not isinstance(ring, MatrixRing) or not isinstance(ring.field, PrimeField):
         raise DomainError("only matrix rings over a prime field can be enumerated")
-    # p >= 2, so p^e > cap for every e >= cap.bit_length(): the power
-    # decides the cap without building p^(k*k) for a large k.
-    size = ring.field.p ** min(ring.k * ring.k, cap.bit_length())
-    if size > cap:
+    # p >= 2, so p^e > MAX_ENUMERATION for every e >= its bit length: the
+    # power decides the cap without building p^(k*k) for a large k.
+    size = ring.field.p ** min(ring.k * ring.k, MAX_ENUMERATION.bit_length())
+    if size > MAX_ENUMERATION:
         raise DomainError(
-            f"ring has {ring.field.p}^{ring.k * ring.k} elements, above the cap of {cap}"
+            f"ring has {ring.field.p}^{ring.k * ring.k} elements, "
+            f"above the cap of {MAX_ENUMERATION}"
         )
     return RingEnumeration(ring, size)
 
@@ -77,9 +70,7 @@ class BruteForceResult:
     count: int
 
 
-def brute_force_exists(
-    x1: Matrix, x2: Matrix, n: int, ring: MatrixRing, cap: int = DEFAULT_CAP
-) -> BruteForceResult:
+def brute_force_exists(x1: Matrix, x2: Matrix, n: int, ring: MatrixRing) -> BruteForceResult:
     """Exhaustively search for monic degree-n annihilators of x1 and x2.
 
     `count` is the number of (a_1, ..., a_{n-1}) tuples that work (the
@@ -88,17 +79,18 @@ def brute_force_exists(
     is returned and double-checked by full polynomial evaluation at both
     roots.
     """
-    return _search(x1, x2, n, ring, _search_space(_bounded_enumeration(ring, n, cap)))
+    return _search(x1, x2, n, ring, _search_space(_bounded_enumeration(ring, n)))
 
 
-def _bounded_enumeration(ring: Ring, n: int, cap: int) -> RingEnumeration:
+def _bounded_enumeration(ring: Ring, n: int) -> RingEnumeration:
     """The enumeration of `ring`, once the degree, the ring size and the
     number of coefficient tuples pass their checks."""
     _check_degree(n)
-    enumeration = enumerate_ring(ring, cap)
-    if enumeration.size ** (n - 1) > cap:
+    enumeration = enumerate_ring(ring)
+    if enumeration.size ** (n - 1) > MAX_ENUMERATION:
         raise DomainError(
-            f"{enumeration.size ** (n - 1)} coefficient tuples, above the cap of {cap}"
+            f"{enumeration.size ** (n - 1)} coefficient tuples, "
+            f"above the cap of {MAX_ENUMERATION}"
         )
     return enumeration
 
@@ -198,12 +190,12 @@ class CrossCheckReport:
         }
 
 
-def cross_check_criterion(ring: Ring, n: int, cap: int = DEFAULT_CAP) -> CrossCheckReport:
+def cross_check_criterion(ring: Ring, n: int) -> CrossCheckReport:
     """Compare the rank criterion against exhaustive search on all ordered
     pairs of distinct elements, at most MAX_CROSS_CHECK_WORK tuples in all.
     The disagreement list must come back empty; anything else is a bug in
     one of the two paths."""
-    enumeration = _bounded_enumeration(ring, n, cap)
+    enumeration = _bounded_enumeration(ring, n)
     work = enumeration.size * (enumeration.size - 1) * enumeration.size ** (n - 1)
     if work > MAX_CROSS_CHECK_WORK:
         raise DomainError(

@@ -32,14 +32,6 @@ class Polynomial:
         return cls(ring, ())
 
     @classmethod
-    def one(cls, ring: Ring) -> "Polynomial":
-        return cls(ring, (ring.one,))
-
-    @classmethod
-    def constant(cls, ring: Ring, value) -> "Polynomial":
-        return cls(ring, (ring.element(value),))
-
-    @classmethod
     def x(cls, ring: Ring) -> "Polynomial":
         return cls(ring, (ring.zero, ring.one))
 
@@ -54,9 +46,6 @@ class Polynomial:
 
     def degree(self) -> int | None:
         return len(self.coeffs) - 1 if self.coeffs else None
-
-    def leading(self):
-        return self.coeffs[-1] if self.coeffs else None
 
     def is_zero(self) -> bool:
         return not self.coeffs

@@ -204,6 +204,3 @@ class Quaternion:
 
 ZERO = _raw((0, 0, 0, 0), 1)
 ONE = _raw((1, 0, 0, 0), 1)
-I = Quaternion(0, 1)
-J = Quaternion(0, 0, 1)
-K = Quaternion(0, 0, 0, 1)

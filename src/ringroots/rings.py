@@ -12,6 +12,7 @@ contain the rationals.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 from .errors import DomainError, MismatchError, ParseError
@@ -125,11 +126,11 @@ class MatrixRing(Ring):
         self.k = k
         self.field = field
 
-    @property
+    @cached_property
     def zero(self):
         return Matrix.zeros(self.field, self.k, self.k)
 
-    @property
+    @cached_property
     def one(self):
         return Matrix.identity(self.field, self.k)
 

@@ -12,6 +12,7 @@ which work on plain ints.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 
@@ -142,7 +143,6 @@ class RationalField:
     """Descriptor for the rationals; elements are ``Fraction`` values."""
 
     kind = "rational"
-    finite = False
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -210,18 +210,17 @@ class PrimeField:
     """Descriptor for F_p, p prime."""
 
     kind = "prime"
-    finite = True
 
     def __init__(self, p: int):
         if not is_prime(p):
             raise DomainError(f"modulus {p} is not prime")
         self.p = p
 
-    @property
+    @cached_property
     def zero(self) -> PrimeFieldElement:
         return PrimeFieldElement(0, self.p)
 
-    @property
+    @cached_property
     def one(self) -> PrimeFieldElement:
         return PrimeFieldElement(1, self.p)
 

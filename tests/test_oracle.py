@@ -16,7 +16,7 @@ from ringroots import (
     quadratic_existence,
 )
 from ringroots.existence import MAX_DEGREE
-from ringroots.oracle import MAX_CROSS_CHECK_WORK
+from ringroots.oracle import MAX_CROSS_CHECK_WORK, MAX_ENUMERATION
 
 from helpers import F2, F3, M2F2, M2Q
 
@@ -46,8 +46,9 @@ def test_enumeration_is_deterministic_digit_counting():
 def test_enumeration_rejects_infinite_and_oversized_rings():
     with pytest.raises(DomainError):
         enumerate_ring(M2Q)
-    with pytest.raises(DomainError):
-        enumerate_ring(MatrixRing(3, F3), cap=100)
+    with pytest.raises(DomainError, match="ring has 3\\^16 elements, above the cap of 65536$"):
+        enumerate_ring(MatrixRing(4, F3))
+    assert enumerate_ring(MatrixRing(4, F2)).size == MAX_ENUMERATION == 2**16
     with pytest.raises(DomainError):
         enumerate_ring(MatrixRing(5, F2))
 
@@ -93,7 +94,7 @@ def test_brute_force_count_matches_solver_dimension():
 
 def test_brute_force_cap():
     with pytest.raises(DomainError):
-        brute_force_exists(M2F2.one, M2F2.zero, 4, M2F2, cap=1000)
+        brute_force_exists(M2F2.one, M2F2.zero, 6, M2F2)
 
 
 def test_cross_check_work_over_the_limit_is_rejected_before_the_first_pair():
