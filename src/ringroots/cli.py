@@ -9,7 +9,9 @@ stdout, diagnostics to stderr.  Exit codes are a stable contract:
     2   construction obstructed (non-invertible, nonzero evaluation)
     3   no polynomial of the requested shape exists
     64  malformed input (JSON or argument syntax, JSON nested too deeply
-        to decode, an integer literal over Python's int/str digit limit)
+        to decode, a matrix row that is not an array, an integer literal
+        over Python's int/str digit limit, or a rational literal whose
+        numerator or denominator as written would be over it)
     65  semantic error (ring mismatch, equal roots, wrong ring kind, a
         limit exceeded: prime modulus, degree over MAX_DEGREE, a
         cross-check over MAX_ENUMERATION ring elements or coefficient

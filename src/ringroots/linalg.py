@@ -1,9 +1,10 @@
 """Exact linear algebra over a field: RREF, rank, consistency, solutions.
 
-The one elimination is the field descriptor's ``rref``, a fraction-free
-Gauss-Jordan on ints with the first nonzero entry of the leftmost
+The one elimination is ``rref``, a fraction-free Gauss-Jordan on a
+matrix's int payload with the first nonzero entry of the leftmost
 unresolved column as pivot: exact arithmetic needs no pivoting
-heuristics, and the fixed rule keeps outputs reproducible.  A solve is
+heuristics, and the fixed rule keeps outputs reproducible.  The field
+supplies only the row reduction that keeps the entries small.  A solve is
 one RREF of the augmented matrix, which gives both ranks and the
 particular solution.
 """
@@ -11,6 +12,7 @@ particular solution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .errors import MismatchError
 from .matrices import Matrix, _trusted
@@ -40,8 +42,47 @@ class StackedSolveOutcome:
 def rref(m: Matrix) -> RrefResult:
     """Reduced row echelon form: leading 1s, zeroed pivot columns,
     staircase shape, zero rows last."""
-    rows, pivots = m.field.rref(m.entries)
-    return RrefResult(_trusted(m.field, rows), len(pivots), pivots)
+    field = m.field
+    work = [list(row) for row in m._rows]  # m's den scales every row alike
+    pivots = _fraction_free_rref(work, field.reduce_row)
+    # Pivot row i over its pivot: every row over the lcm of the pivots,
+    # a unit mod p over F_p, since each pivot is a nonzero residue.
+    den = lcm(*(row[c] for row, c in zip(work, pivots)))
+    rows = [tuple(a * (den // row[c]) for a in row) for row, c in zip(work, pivots)]
+    rows += [(0,) * m.ncols] * (m.nrows - len(pivots))
+    return RrefResult(_trusted(field, tuple(rows), den), len(pivots), pivots)
+
+
+def _fraction_free_rref(work, reduce) -> tuple:
+    """Division-free Gauss-Jordan on the int rows `work`, in place;
+    returns the pivot columns.
+
+    The pivot is the first nonzero entry of the leftmost unresolved
+    column; every other row r with f = work[r][col] != 0 becomes
+    reduce(pv * work[r] - f * pivot_row).  `reduce` keeps the entries
+    small (a gcd over Q, mod p over F_p), so each row stays a nonzero
+    multiple of the row element-wise Gauss-Jordan holds: same pivots,
+    same reduced form once pivot row i is divided by work[i][pivots[i]].
+    Rows below the rank end up zero.
+    """
+    nrows = len(work)
+    pivots = []
+    for col in range(len(work[0])):
+        top = len(pivots)
+        if top == nrows:
+            break
+        hit = next((r for r in range(top, nrows) if work[r][col]), None)
+        if hit is None:
+            continue
+        work[top], work[hit] = work[hit], work[top]
+        pivot_row = work[top]
+        pv = pivot_row[col]
+        for r in range(nrows):
+            f = work[r][col]
+            if f and r != top:
+                work[r] = reduce([pv * a - f * b for a, b in zip(work[r], pivot_row)])
+        pivots.append(col)
+    return tuple(pivots)
 
 
 def rank(m: Matrix) -> int:
@@ -83,10 +124,12 @@ def solve_stacked(blocks, rhs: Matrix) -> StackedSolveOutcome:
     dim = k * (split - rk)
     if rk < rr.rank:  # Kronecker-Capelli: a pivot in the B^T columns
         return StackedSolveOutcome(False, None, dim, rk, rr.rank)
-    # Y is (k*m) x k, zero in the free rows; rows j*k..(j+1)*k hold X_j^T.
-    y = [(rhs.field.zero,) * k] * split
+    # Y is (k*m) x k over the RREF's den, zero in the free rows; rows
+    # j*k..(j+1)*k hold X_j^T.
+    rows, den = rr.rref._rows, rr.rref._den
+    y = [(0,) * k] * split
     for row_idx, col in enumerate(rr.pivot_columns):
-        y[col] = rr.rref.entries[row_idx][split:]
-    parts = tuple(_trusted(rhs.field, tuple(y[j * k : (j + 1) * k])).transpose()
+        y[col] = rows[row_idx][split:]
+    parts = tuple(_trusted(rhs.field, tuple(y[j * k : (j + 1) * k]), den).transpose()
                   for j in range(len(blocks)))
     return StackedSolveOutcome(True, parts, dim, rk, rr.rank)

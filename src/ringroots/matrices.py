@@ -1,27 +1,33 @@
-"""Immutable exact matrices over a scalar field.
+"""Immutable exact matrices over a scalar field, stored as ints.
 
-Shapes are checked on every operation; a mismatch raises instead of
-broadcasting.  Non-square shapes appear only inside the linear-algebra
-routines (augmented systems).
+A matrix is int rows ``_rows`` over one int denominator ``_den``, kept
+canonical: over F_p, residues in [0, p) over 1; over Q, numerators over
+the least common denominator of the whole matrix, with ``_den > 0`` and
+gcd(``_den``, all numerators) = 1.  So equal matrices have equal
+payloads, and ``==``, ``hash`` and ``bool`` work on the ints, as for
+``Quaternion``.  The arithmetic is the same for both fields; the field
+descriptor supplies the rest (see ``scalars``).  Field elements are
+built only by the ``entries`` view, ``m[i, j]`` and JSON output.
 
-Entries are validated once, at the boundary.  ``Matrix(...)``,
-``from_rows`` and ``from_json`` check every entry against the field, and
-ring descriptors check membership of whole matrices.  Every matrix the
-package computes itself (sums, products, transposes, augmentations,
-the identity and zero matrices, eliminations, solutions, ring enumerations)
-is built from entries already known to be valid, so it goes through
-``_trusted``, which skips the per-entry check.  Products are delegated
-to the field descriptor's ``matmul``; over F_p it works on raw residues.
+Entries from outside are validated once, at the boundary:
+``Matrix(...)``, ``from_rows`` and ``from_json`` check every entry
+against the field, and ring descriptors check membership of whole
+matrices.  Shapes are checked on every operation; a mismatch raises
+instead of broadcasting.  Non-square shapes appear only inside the
+linear-algebra routines (augmented systems).
 """
 
 from __future__ import annotations
+
+from math import gcd
+from operator import add, mul, sub
 
 from .errors import MismatchError, ParseError
 from .scalars import _square_and_multiply
 
 
 class Matrix:
-    __slots__ = ("field", "entries")
+    __slots__ = ("field", "_rows", "_den")
 
     def __init__(self, field, entries):
         rows = tuple(tuple(row) for row in entries)
@@ -34,7 +40,7 @@ class Matrix:
                 if not field.contains(e):
                     raise MismatchError(f"entry {e!r} is not an element of {field!r}")
         self.field = field
-        self.entries = rows
+        self._rows, self._den = field.encode(rows)
 
     @classmethod
     def from_rows(cls, field, rows) -> "Matrix":
@@ -44,32 +50,35 @@ class Matrix:
     @classmethod
     def identity(cls, field, k: int) -> "Matrix":
         _check_size(k, k)
-        one, zero = field.one, field.zero
-        return _trusted(
-            field, tuple(tuple(one if i == j else zero for j in range(k)) for i in range(k))
-        )
+        return _raw(field, tuple(tuple(int(i == j) for j in range(k)) for i in range(k)), 1)
 
     @classmethod
     def zeros(cls, field, nrows: int, ncols: int) -> "Matrix":
         _check_size(nrows, ncols)
-        return _trusted(field, ((field.zero,) * ncols,) * nrows)
+        return _raw(field, ((0,) * ncols,) * nrows, 1)
+
+    @property
+    def entries(self) -> tuple:
+        """The entries as field elements, a tuple of row tuples."""
+        scalar, den = self.field.scalar, self._den
+        return tuple(tuple(scalar(a, den) for a in row) for row in self._rows)
 
     @property
     def nrows(self) -> int:
-        return len(self.entries)
+        return len(self._rows)
 
     @property
     def ncols(self) -> int:
-        return len(self.entries[0])
+        return len(self._rows[0])
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
     def __getitem__(self, key):
         i, j = key
-        return self.entries[i][j]
+        return self.field.scalar(self._rows[i][j], self._den)
 
-    def _check_same_shape(self, other):
+    def _entrywise(self, op, other) -> "Matrix":
         if not isinstance(other, Matrix):
             raise MismatchError(f"expected a matrix, got {other!r}")
         if self.field != other.field:
@@ -78,29 +87,19 @@ class Matrix:
             raise MismatchError(
                 f"shape mismatch: {self.nrows}x{self.ncols} vs {other.nrows}x{other.ncols}"
             )
+        rows_a, rows_b, den = _aligned(self, other)
+        rows = tuple(tuple(map(op, x, y)) for x, y in zip(rows_a, rows_b))
+        return _trusted(self.field, rows, den)
 
     def __add__(self, other):
-        self._check_same_shape(other)
-        return _trusted(
-            self.field,
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            ),
-        )
+        return self._entrywise(add, other)
 
     def __sub__(self, other):
-        self._check_same_shape(other)
-        return _trusted(
-            self.field,
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            ),
-        )
+        return self._entrywise(sub, other)
 
     def __neg__(self):
-        return _trusted(self.field, tuple(tuple(-a for a in row) for row in self.entries))
+        rows = tuple(tuple(-a for a in row) for row in self._rows)
+        return _trusted(self.field, rows, self._den)
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -111,7 +110,12 @@ class Matrix:
             raise MismatchError(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
-        return _trusted(self.field, self.field.matmul(self.entries, other.entries))
+        cols = tuple(zip(*other._rows))
+        return _trusted(
+            self.field,
+            tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self._rows),
+            self._den * other._den,
+        )
 
     def __pow__(self, n: int):
         if not self.is_square():
@@ -123,35 +127,39 @@ class Matrix:
         return _square_and_multiply(self, n)
 
     def transpose(self) -> "Matrix":
-        return _trusted(self.field, tuple(zip(*self.entries)))
+        return _raw(self.field, tuple(zip(*self._rows)), self._den)
 
     def augment(self, other: "Matrix") -> "Matrix":
         """Columns of `other` appended to the right of `self`."""
         if self.field != other.field or self.nrows != other.nrows:
             raise MismatchError("augmenting needs the same field and row count")
-        return _trusted(
-            self.field, tuple(ra + rb for ra, rb in zip(self.entries, other.entries))
-        )
+        rows_a, rows_b, den = _aligned(self, other)
+        # Canonical as it stands: each prime power of den comes whole from
+        # one side's den, whose own numerators are not all divisible by it.
+        return _raw(self.field, tuple(map(add, rows_a, rows_b)), den)
 
     def __bool__(self):
-        return any(any(e for e in row) for row in self.entries)
+        return any(map(any, self._rows))
 
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
             and self.field == other.field
-            and self.entries == other.entries
+            and self._den == other._den
+            and self._rows == other._rows
         )
 
     def __hash__(self):
-        return hash((self.field, self.entries))
+        return hash((self.field, self._rows, self._den))
 
     def to_json(self):
         return [[self.field.scalar_to_json(e) for e in row] for row in self.entries]
 
     @classmethod
     def from_json(cls, field, obj) -> "Matrix":
-        if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
+        if not isinstance(obj, (list, tuple)) or not all(
+            isinstance(row, (list, tuple)) for row in obj
+        ):
             raise ParseError(f"a matrix encodes as an array of row arrays, got {obj!r}")
         try:
             return cls.from_rows(field, obj)
@@ -168,14 +176,32 @@ def _check_size(nrows: int, ncols: int):
         raise MismatchError("a matrix needs at least one row and one column")
 
 
-def _trusted(field, rows) -> Matrix:
-    """A matrix over `field` whose rows are already valid: a non-empty
-    tuple of equal-length, non-empty tuples of elements of `field`.
+def _raw(field, rows, den: int) -> Matrix:
+    """A matrix over `field` from a payload already canonical: a
+    non-empty tuple of equal-length, non-empty int tuples over den.
 
     Only for results the package computes from validated matrices; input
     from outside goes through ``Matrix(...)``, which checks every entry.
     """
     m = object.__new__(Matrix)
     m.field = field
-    m.entries = rows
+    m._rows = rows
+    m._den = den
     return m
+
+
+def _trusted(field, rows, den: int) -> Matrix:
+    """A matrix from int rows over den > 0 that the field's
+    ``normalize`` brings into canonical form."""
+    return _raw(field, *field.normalize(rows, den))
+
+
+def _aligned(a: Matrix, b: Matrix) -> tuple:
+    """(rows of a, rows of b, den): both payloads over their lcm den."""
+    da, db = a._den, b._den
+    if da == db:
+        return a._rows, b._rows, da
+    g = gcd(da, db)
+    sa, sb = db // g, da // g
+    return (tuple(tuple(x * sa for x in row) for row in a._rows),
+            tuple(tuple(x * sb for x in row) for row in b._rows), da * sa)

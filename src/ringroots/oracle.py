@@ -17,7 +17,7 @@ from operator import mul
 from .construct import _assert_annihilates
 from .errors import DomainError
 from .existence import _check_degree, _constant_term, _monic_polynomial, degree_n_existence
-from .matrices import Matrix, _trusted
+from .matrices import Matrix, _raw
 from .rings import MatrixRing, Ring
 from .scalars import PrimeField
 
@@ -32,20 +32,24 @@ MAX_CROSS_CHECK_WORK = 2**20
 
 @dataclass(frozen=True)
 class RingEnumeration:
-    """All elements of a finite matrix ring, in a fixed order.
+    """All elements of a finite matrix ring M_k(F_p), in a fixed order.
 
     Entries are produced row-major as base-p digits of a counter, most
     significant digit first, so the zero matrix comes first and the order
-    is reproducible.  `size` is the element count, p^(k*k).
+    is reproducible.
     """
 
     ring: MatrixRing
-    size: int
+
+    @property
+    def size(self) -> int:
+        """The element count, p^(k*k)."""
+        return self.ring.field.p ** (self.ring.k * self.ring.k)
 
     def __iter__(self):
         field, k = self.ring.field, self.ring.k
-        for entries in itertools.product(field.elements(), repeat=k * k):
-            yield _trusted(field, tuple(entries[i * k : (i + 1) * k] for i in range(k)))
+        for digits in itertools.product(range(field.p), repeat=k * k):
+            yield _raw(field, tuple(digits[i * k : (i + 1) * k] for i in range(k)), 1)
 
 
 def enumerate_ring(ring: Ring) -> RingEnumeration:
@@ -53,13 +57,12 @@ def enumerate_ring(ring: Ring) -> RingEnumeration:
         raise DomainError("only matrix rings over a prime field can be enumerated")
     # p >= 2, so p^e > MAX_ENUMERATION for every e >= its bit length: the
     # power decides the cap without building p^(k*k) for a large k.
-    size = ring.field.p ** min(ring.k * ring.k, MAX_ENUMERATION.bit_length())
-    if size > MAX_ENUMERATION:
+    if ring.field.p ** min(ring.k * ring.k, MAX_ENUMERATION.bit_length()) > MAX_ENUMERATION:
         raise DomainError(
             f"ring has {ring.field.p}^{ring.k * ring.k} elements, "
             f"above the cap of {MAX_ENUMERATION}"
         )
-    return RingEnumeration(ring, size)
+    return RingEnumeration(ring)
 
 
 @dataclass(frozen=True)
@@ -79,7 +82,7 @@ def brute_force_exists(x1: Matrix, x2: Matrix, n: int, ring: MatrixRing) -> Brut
     is returned and double-checked by full polynomial evaluation at both
     roots.
     """
-    return _search(x1, x2, n, ring, _search_space(_bounded_enumeration(ring, n)))
+    return _search(x1, x2, n, ring, list(_bounded_enumeration(ring, n)))
 
 
 def _bounded_enumeration(ring: Ring, n: int) -> RingEnumeration:
@@ -95,36 +98,27 @@ def _bounded_enumeration(ring: Ring, n: int) -> RingEnumeration:
     return enumeration
 
 
-def _search_space(enumeration: RingEnumeration) -> tuple[list, list]:
-    """All elements of the enumeration in order, and the residue rows of each."""
-    elements = list(enumeration)
-    return elements, [_residue_rows(a) for a in elements]
-
-
-def _search(
-    x1: Matrix, x2: Matrix, n: int, ring: MatrixRing, space: tuple[list, list]
-) -> BruteForceResult:
-    """The search of `brute_force_exists` over `space`, the ring's
-    enumeration from `_search_space`.
+def _search(x1: Matrix, x2: Matrix, n: int, ring: MatrixRing, elements: list) -> BruteForceResult:
+    """The search of `brute_force_exists` over `elements`, the ring's
+    enumeration in order.
 
     A tuple works exactly when x2^n - x1^n + sum_i a_i (x2^i - x1^i) is
     zero; a0 cancels from that difference.  Nothing in it but the a_i
     changes from tuple to tuple, so the target and every product
-    a * (x2^i - x1^i) are computed once, as row-major lists of ints
+    a * (x2^i - x1^i) are computed once, as row-major lists of residues
     left unreduced, and each tuple only adds them and tests every entry
     mod p.
     """
-    elements, element_rows = space
     p = ring.field.p
     x1_powers = ring.powers(x1, n)
     x2_powers = ring.powers(x2, n)
-    target = [e.residue for row in (x2_powers[n] - x1_powers[n]).entries for e in row]
+    target = [e for row in (x2_powers[n] - x1_powers[n])._rows for e in row]
     tables = []
     for i in range(1, n):
-        diff_cols = list(zip(*_residue_rows(x2_powers[i] - x1_powers[i])))
+        diff_cols = list(zip(*(x2_powers[i] - x1_powers[i])._rows))
         tables.append([
-            [sum(map(mul, row, col)) for row in rows for col in diff_cols]
-            for rows in element_rows
+            [sum(map(mul, row, col)) for row in a._rows for col in diff_cols]
+            for a in elements
         ])
 
     count = 0
@@ -142,10 +136,6 @@ def _search(
     a0 = _constant_term(witness, x1_powers)
     _assert_annihilates(_monic_polynomial(ring, witness, a0), (x1, x2))
     return BruteForceResult(True, witness, a0, count)
-
-
-def _residue_rows(m: Matrix) -> list:
-    return [[e.residue for e in row] for row in m.entries]
 
 
 @dataclass(frozen=True)
@@ -202,13 +192,13 @@ def cross_check_criterion(ring: Ring, n: int) -> CrossCheckReport:
             f"cross-check needs {work} pair-tuple checks, above the limit of "
             f"{MAX_CROSS_CHECK_WORK} (MAX_CROSS_CHECK_WORK)"
         )
-    space = _search_space(enumeration)
+    elements = list(enumeration)
     records = []
     disagreements = []
     exists_count = 0
-    for x1, x2 in itertools.permutations(space[0], 2):
+    for x1, x2 in itertools.permutations(elements, 2):
         report = degree_n_existence(x1, x2, n)
-        brute = _search(x1, x2, n, ring, space)
+        brute = _search(x1, x2, n, ring, elements)
         record = PairRecord(
             x1, x2, report.exists, brute.exists, brute.count, report.solution_space_dim
         )

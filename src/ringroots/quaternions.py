@@ -21,18 +21,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import ParseError
-from .scalars import _square_and_multiply
-
-
-def _part(value) -> Fraction:
-    if isinstance(value, bool):
-        raise ParseError(f"cannot interpret {value!r} as a rational component")
-    if isinstance(value, (Fraction, int, str)):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad rational literal {value!r}") from exc
-    raise ParseError(f"cannot interpret {value!r} as a rational component")
+from .scalars import _square_and_multiply, parse_rational
 
 
 def _raw(n, den) -> "Quaternion":
@@ -56,7 +45,7 @@ class Quaternion:
     __slots__ = ("_n", "_den")
 
     def __init__(self, a=0, b=0, c=0, d=0):
-        parts = [_part(a), _part(b), _part(c), _part(d)]
+        parts = [parse_rational(a), parse_rational(b), parse_rational(c), parse_rational(d)]
         # Over the lcm of reduced denominators the numerators share no
         # factor with it, so this is already canonical.
         den = lcm(*(p.denominator for p in parts))

@@ -143,11 +143,9 @@ class MatrixRing(Ring):
         )
 
     def element(self, value):
-        if isinstance(value, Matrix):
-            return self.check(value)
-        if isinstance(value, (list, tuple)):
-            return self.check(Matrix.from_json(self.field, [list(r) for r in value]))
-        raise ParseError(f"cannot interpret {value!r} as a {self.k}x{self.k} matrix")
+        if not isinstance(value, Matrix):
+            value = Matrix.from_json(self.field, value)
+        return self.check(value)
 
     def invert(self, a):
         return linalg.matrix_inverse(self.check(a))

@@ -5,16 +5,22 @@ reduced, positive denominator, zero is 0/1).  Prime-field residues get a
 small wrapper class so that mixed-modulus arithmetic is rejected instead
 of silently recombined.
 
-The field descriptors own the matrix kernels, ``matmul`` and ``rref``,
-which work on plain ints.
+A ``Matrix`` stores plain ints and its arithmetic is the same for both
+fields; a field descriptor holds only what differs: ``encode`` turns
+validated entries into an int payload, ``normalize`` makes a computed
+payload canonical (a gcd over Q, mod p over F_p), ``reduce_row``
+keeps the rows of the one elimination in ``linalg`` small, and
+``scalar`` builds one element for a reader of the entries.
+``parse_rational`` reads every rational literal from outside.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import gcd, lcm
-from operator import mul
 
 from .errors import DomainError, MismatchError, ParseError
 
@@ -50,6 +56,43 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def parse_rational(value) -> Fraction:
+    """The rational an int, a ``Fraction`` or a literal such as "-3/4",
+    "0.25" or "1e-3" denotes; ParseError for anything else."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if not isinstance(value, str):
+        raise ParseError(f"cannot interpret {value!r} as a rational")
+    _check_exponent(value)
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad rational literal {value!r}") from exc
+
+
+def _check_exponent(text: str):
+    """ParseError when `text`, read as a literal m.f e x, spells out a
+    numerator or denominator over the int/str digit limit: Fraction builds
+    int(m + f) * 10^max(x, 0) over 10^(len(f) + max(-x, 0)) before any
+    limit applies.  Without an exponent, its own int() enforces it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    mantissa, e, exp = text.lower().partition("e")
+    if not limit or not e:
+        return
+    try:
+        x = int(exp)
+    except ValueError:
+        return  # not a literal Fraction accepts
+    whole, _, frac = mantissa.strip().lstrip("+-").replace("_", "").partition(".")
+    for part, digits in (("numerator", max(len((whole + frac).lstrip("0")), 1) + max(x, 0)),
+                         ("denominator", len(frac) + max(-x, 0) + 1)):
+        if digits > limit:
+            raise ParseError(f"a rational literal's {part} would have more decimal digits "
+                             f"than the int/str conversion limit of {limit} digits")
 
 
 class PrimeFieldElement:
@@ -150,45 +193,33 @@ class RationalField:
         return isinstance(x, Fraction)
 
     def element(self, value) -> Fraction:
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, int) and not isinstance(value, bool):
-            return Fraction(value)
-        if isinstance(value, str):
-            try:
-                return Fraction(value)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ParseError(f"bad rational literal {value!r}") from exc
-        raise ParseError(f"cannot interpret {value!r} as a rational")
+        return parse_rational(value)
 
     def invert(self, x: Fraction):
         return None if x == 0 else 1 / x
 
-    def matmul(self, rows, other_rows) -> tuple:
-        """Entries of the product of two entry grids of matching shape.
+    def encode(self, rows) -> tuple[tuple, int]:
+        """(numerator rows, den) of rows of ``Fraction``s, den their least
+        common denominator.  Over the lcm of reduced denominators the
+        numerators share no factor with den, so this is canonical."""
+        den = lcm(*(e.denominator for row in rows for e in row))
+        return tuple(tuple(e.numerator * (den // e.denominator) for e in row)
+                     for row in rows), den
 
-        Each row of the left factor and each column of the right factor
-        is scaled to int numerators over its least common denominator, so
-        every output entry is one integer dot product over the product
-        of a row and a column denominator, reduced once by ``Fraction``.
-        """
-        cols = [_over_common_denominator(col) for col in zip(*other_rows)]
-        return tuple(
-            tuple(Fraction(sum(map(mul, row, col)), den * col_den) for col, col_den in cols)
-            for row, den in map(_over_common_denominator, rows)
-        )
+    def normalize(self, rows, den: int) -> tuple[tuple, int]:
+        """(rows, den) divided by the gcd of den and every numerator."""
+        g = gcd(den, *chain.from_iterable(rows))
+        if g == 1:
+            return rows, den
+        return tuple(tuple(a // g for a in row) for row in rows), den // g
 
-    def rref(self, rows) -> tuple[tuple, tuple]:
-        """(reduced rows, pivot columns) of an entry grid: rows scaled to
-        int numerators over their lcm, eliminated by `_fraction_free_rref`
-        with gcd reduction, then one ``Fraction(a, pivot)`` per entry."""
-        work = [_over_common_denominator(row)[0] for row in rows]
-        pivots = _fraction_free_rref(work, _primitive)
-        zero = self.zero
-        reduced = [tuple(Fraction(a, row[c]) if a else zero for a in row)
-                   for row, c in zip(work, pivots)]
-        reduced += [(zero,) * len(work[0])] * (len(work) - len(pivots))
-        return tuple(reduced), pivots
+    def scalar(self, numerator: int, den: int) -> Fraction:
+        return Fraction(numerator, den)
+
+    def reduce_row(self, row: list) -> list:
+        """An int row divided by the gcd of its entries."""
+        g = gcd(*row)
+        return row if g <= 1 else [a // g for a in row]
 
     def scalar_to_json(self, x: Fraction) -> str:
         return str(x)
@@ -241,36 +272,24 @@ class PrimeField:
     def invert(self, x: PrimeFieldElement):
         return None if x.residue == 0 else x.inverse()
 
-    def matmul(self, rows, other_rows) -> tuple:
-        """Entries of the product of two entry grids of matching shape.
+    def encode(self, rows) -> tuple[tuple, int]:
+        """(residue rows, 1) of rows of elements."""
+        return tuple(tuple(e.residue for e in row) for row in rows), 1
 
-        Each dot product runs on the int residues and is reduced mod p
-        once, when its single output element is built.
-        """
+    def normalize(self, rows, den: int) -> tuple[tuple, int]:
+        """(residue rows, 1) of int rows over den, a unit mod p."""
         p = self.p
-        cols = [[e.residue for e in col] for col in zip(*other_rows)]
-        return tuple(
-            tuple(PrimeFieldElement(sum(map(mul, row, col)), p) for col in cols)
-            for row in ([e.residue for e in r] for r in rows)
-        )
+        if den != 1:
+            inv = pow(den, -1, p)
+            rows = [[a * inv for a in row] for row in rows]
+        return tuple(tuple(a % p for a in row) for row in rows), 1
 
-    def rref(self, rows) -> tuple[tuple, tuple]:
-        """(reduced rows, pivot columns) of an entry grid: residues
-        eliminated by `_fraction_free_rref` mod p, then each pivot row
-        scaled once by the inverse of its pivot."""
+    def scalar(self, residue: int, den: int) -> PrimeFieldElement:
+        return PrimeFieldElement(residue, self.p)
+
+    def reduce_row(self, row: list) -> list:
         p = self.p
-        work = [[e.residue for e in row] for row in rows]
-        pivots = _fraction_free_rref(work, lambda row: [a % p for a in row])
-        reduced = []
-        for row, c in zip(work, pivots):
-            inv = pow(row[c], -1, p)
-            reduced.append(tuple(PrimeFieldElement(a * inv, p) for a in row))
-        reduced += [(PrimeFieldElement(0, p),) * len(work[0])] * (len(work) - len(pivots))
-        return tuple(reduced), pivots
-
-    def elements(self):
-        """All p field elements, in residue order."""
-        return (PrimeFieldElement(r, self.p) for r in range(self.p))
+        return [a % p for a in row]
 
     def scalar_to_json(self, x: PrimeFieldElement) -> int:
         return x.residue
@@ -286,52 +305,6 @@ class PrimeField:
 
     def __repr__(self):
         return f"PrimeField({self.p})"
-
-
-def _over_common_denominator(fractions) -> tuple[list, int]:
-    """(numerators, den) with fraction i equal to numerators[i] / den,
-    den the least common denominator."""
-    ratios = [f.as_integer_ratio() for f in fractions]
-    den = lcm(*[d for _, d in ratios])
-    return [n * (den // d) for n, d in ratios], den
-
-
-def _fraction_free_rref(work, reduce) -> tuple:
-    """Division-free Gauss-Jordan on the int rows `work`, in place;
-    returns the pivot columns.
-
-    The pivot is the first nonzero entry of the leftmost unresolved
-    column; every other row r with f = work[r][col] != 0 becomes
-    reduce(pv * work[r] - f * pivot_row).  `reduce` keeps the entries
-    small (a gcd over Z, mod p over F_p), so each row stays a nonzero
-    multiple of the row element-wise Gauss-Jordan holds: same pivots,
-    same reduced form once pivot row i is divided by work[i][pivots[i]].
-    Rows below the rank end up zero.
-    """
-    nrows = len(work)
-    pivots = []
-    for col in range(len(work[0])):
-        top = len(pivots)
-        if top == nrows:
-            break
-        hit = next((r for r in range(top, nrows) if work[r][col]), None)
-        if hit is None:
-            continue
-        work[top], work[hit] = work[hit], work[top]
-        pivot_row = work[top]
-        pv = pivot_row[col]
-        for r in range(nrows):
-            f = work[r][col]
-            if f and r != top:
-                work[r] = reduce([pv * a - f * b for a, b in zip(work[r], pivot_row)])
-        pivots.append(col)
-    return tuple(pivots)
-
-
-def _primitive(row: list) -> list:
-    """An int row divided by the gcd of its entries."""
-    g = gcd(*row)
-    return row if g <= 1 else [a // g for a in row]
 
 
 def _square_and_multiply(x, n: int):

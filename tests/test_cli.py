@@ -324,6 +324,37 @@ def test_result_over_digit_limit_exits_65(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+                    reason="needs an int/str digit limit below 5000")
+@pytest.mark.parametrize("literal", ["1e5000", "1e-5000"])
+@pytest.mark.parametrize("ring, root", [
+    (MAT2_RING, lambda s: [[s, 0], [0, 1]]),
+    (QUAT_RING, lambda s: [s, 0, 0, 0]),
+], ids=["matrix", "quaternion"])
+def test_exponent_literal_over_digit_limit_exits_64(monkeypatch, capsys, literal, ring, root):
+    # 10^5000 would be built in full before any limit applied to it
+    doc = {"ring": ring, "elements": [root(literal)]}
+    code, out, err = run_cli(monkeypatch, capsys, ["construct"], doc)
+    assert code == 64
+    assert out == ""
+    assert str(sys.get_int_max_str_digits()) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["construct"], {"ring": MAT2_RING, "elements": [[1, 2], [3, 4]]}),
+    (["verify"], {"polynomial": {"ring": MAT2_RING, "coefficients": [[1, 2], [[1, 0], [0, 1]]]},
+                  "elements": [[[0, 1], [1, 0]]]}),
+    (["quadratic", "--a1", "[1, 2]"], {"ring": MAT2_RING,
+                                       "elements": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]}),
+], ids=["construct", "verify-coefficient", "quadratic-a1"])
+def test_matrix_rows_that_are_not_arrays_exit_64(monkeypatch, capsys, argv, doc):
+    code, out, err = run_cli(monkeypatch, capsys, argv, doc)
+    assert code == 64
+    assert out == ""
+    assert "internal error" not in err and "Traceback" not in err
+
+
 def test_deeply_nested_document_exits_64(monkeypatch, capsys):
     text = "[" * 100000 + "]" * 100000
     code, out, err = run_cli(monkeypatch, capsys, ["construct"], text=text)

@@ -1,0 +1,94 @@
+"""Generated matrices: the int kernels of `Matrix` and `rref` against
+literal element-wise references, and one payload per value."""
+
+import atexit
+import shutil
+import tempfile
+from fractions import Fraction
+
+import pytest
+
+from ringroots import Matrix, rref
+
+from helpers import F2, F3, F7, QQ, reference_rref
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+configuration = pytest.importorskip("hypothesis.configuration")
+
+
+# database=None keeps examples out of storage, but from collection on
+# Hypothesis also caches the constants it reads from local modules; keep
+# that cache in a directory of its own, removed when the run exits.
+_HOME = tempfile.mkdtemp(prefix="hypothesis-")
+configuration.set_hypothesis_home_dir(_HOME)
+atexit.register(shutil.rmtree, _HOME, ignore_errors=True)
+
+
+BIG = 10**39 + 7  # 40 digits
+
+# Zero, small and negative integers, a shared denominator, pairwise
+# coprime denominators, and 40-digit numerators and denominators.
+RATIONALS = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-9, 9)),
+    st.builds(Fraction, st.integers(-30, 30), st.just(6)),
+    st.builds(Fraction, st.integers(-30, 30), st.sampled_from([7, 11, 13])),
+    st.builds(Fraction, st.integers(-(10**40), 10**40), st.sampled_from([1, 3, BIG])),
+)
+
+
+@st.composite
+def operands(draw):
+    """(a, b, c): a and b of one shape, c with as many rows as a has columns."""
+    field = draw(st.sampled_from([QQ, F2, F3, F7]))
+    scalars = RATIONALS if field is QQ else st.integers(0, field.p - 1)
+    rows, inner, cols = (draw(st.integers(1, 3)) for _ in range(3))
+
+    def matrix(nrows, ncols):
+        grid = st.lists(st.lists(scalars, min_size=ncols, max_size=ncols),
+                        min_size=nrows, max_size=nrows)
+        return Matrix.from_rows(field, draw(grid))
+
+    return matrix(rows, inner), matrix(rows, inner), matrix(inner, cols)
+
+
+def _grid(m):
+    return [[m[i, j] for j in range(m.ncols)] for i in range(m.nrows)]
+
+
+def _assert_entries(m, expected):
+    assert [list(row) for row in m.entries] == expected
+    assert all(m.field.contains(e) for row in m.entries for e in row)
+
+
+@hypothesis.settings(max_examples=120, deadline=None, database=None, derandomize=True)
+@hypothesis.given(operands())
+def test_int_kernels_match_elementwise_references(abc):
+    a, b, c = abc
+    ga, gb, gc = _grid(a), _grid(b), _grid(c)
+    _assert_entries(a + b, [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(ga, gb)])
+    _assert_entries(a - b, [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(ga, gb)])
+    _assert_entries(-a, [[-x for x in row] for row in ga])
+    _assert_entries(a * c, [[sum((x * y for x, y in zip(row, col)), a.field.zero)
+                             for col in zip(*gc)] for row in ga])
+    _assert_entries(a.transpose(), [list(col) for col in zip(*ga)])
+    _assert_entries(a.augment(b), [ra + rb for ra, rb in zip(ga, gb)])
+    for m in (a, a.augment(b), c.transpose()):
+        got = rref(m)
+        rows, rank, pivots = reference_rref(m)
+        _assert_entries(got.rref, [list(row) for row in rows])
+        assert (got.rank, got.pivot_columns) == (rank, pivots)
+
+
+@hypothesis.settings(max_examples=120, deadline=None, database=None, derandomize=True)
+@hypothesis.given(operands())
+def test_equal_matrices_have_one_payload(abc):
+    a, b, _ = abc
+    zero = Matrix.zeros(a.field, a.nrows, a.ncols)
+    rebuilt = Matrix.from_rows(a.field, _grid(a))
+    for got, want in (((a + b) - b, a), (a - a, zero), (-(-a), a), (rebuilt, a)):
+        assert got == want
+        assert (got._rows, got._den) == (want._rows, want._den)
+        assert hash(got) == hash(want)
+    assert not (a - a)

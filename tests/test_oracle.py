@@ -10,6 +10,7 @@ from ringroots import (
     Matrix,
     MatrixRing,
     PrimeField,
+    RingEnumeration,
     brute_force_exists,
     cross_check_criterion,
     enumerate_ring,
@@ -25,6 +26,11 @@ def test_enumeration_size_and_uniqueness():
     elems = list(enumerate_ring(M2F2))
     assert len(elems) == 16
     assert len(set(elems)) == 16
+
+
+def test_enumeration_size_is_derived_from_the_ring():
+    enumeration = RingEnumeration(M2F2)
+    assert enumeration.size == len(list(enumeration)) == 16
 
 
 def test_enumeration_of_one_by_one_ring():

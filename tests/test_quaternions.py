@@ -1,6 +1,7 @@
 """Rational quaternion arithmetic."""
 
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -80,6 +81,18 @@ def test_json_round_trip():
         Quaternion.from_json(["1", "2", "3"])
     with pytest.raises(ParseError):
         Quaternion.from_json("1+i")
+
+
+@pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+                    reason="needs an int/str digit limit below 5000")
+def test_exponent_components_obey_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    for literal in ("1e5000", "1e-5000"):
+        with pytest.raises(ParseError, match=str(limit)):
+            Quaternion(0, literal)
+        with pytest.raises(ParseError, match=str(limit)):
+            Quaternion.from_json(["1", "0", literal, "0"])
+    assert Quaternion(f"1e-{limit - 1}").a == Fraction(1, 10 ** (limit - 1))
 
 
 class _FractionQuaternion:
