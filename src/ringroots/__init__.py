@@ -35,7 +35,6 @@ from .matrices import Matrix
 from .oracle import (
     BruteForceResult,
     CrossCheckReport,
-    RingEnumeration,
     brute_force_exists,
     cross_check_criterion,
     enumerate_ring,
@@ -78,7 +77,6 @@ __all__ = [
     "QuaternionRing",
     "RationalField",
     "Ring",
-    "RingEnumeration",
     "RrefResult",
     "ScalarRing",
     "StackedSolveOutcome",

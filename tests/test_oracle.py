@@ -10,12 +10,12 @@ from ringroots import (
     Matrix,
     MatrixRing,
     PrimeField,
-    RingEnumeration,
     brute_force_exists,
     cross_check_criterion,
     enumerate_ring,
     quadratic_existence,
 )
+from ringroots import oracle
 from ringroots.existence import MAX_DEGREE
 from ringroots.oracle import MAX_CROSS_CHECK_WORK, MAX_ENUMERATION
 
@@ -26,11 +26,6 @@ def test_enumeration_size_and_uniqueness():
     elems = list(enumerate_ring(M2F2))
     assert len(elems) == 16
     assert len(set(elems)) == 16
-
-
-def test_enumeration_size_is_derived_from_the_ring():
-    enumeration = RingEnumeration(M2F2)
-    assert enumeration.size == len(list(enumeration)) == 16
 
 
 def test_enumeration_of_one_by_one_ring():
@@ -54,9 +49,17 @@ def test_enumeration_rejects_infinite_and_oversized_rings():
         enumerate_ring(M2Q)
     with pytest.raises(DomainError, match="ring has 3\\^16 elements, above the cap of 65536$"):
         enumerate_ring(MatrixRing(4, F3))
-    assert enumerate_ring(MatrixRing(4, F2)).size == MAX_ENUMERATION == 2**16
+    assert len(enumerate_ring(MatrixRing(4, F2))) == MAX_ENUMERATION == 2**16
     with pytest.raises(DomainError):
         enumerate_ring(MatrixRing(5, F2))
+
+
+def test_enumeration_is_cached_for_the_last_ring_only():
+    ring = MatrixRing(1, F3)
+    assert enumerate_ring(ring) is enumerate_ring(ring)
+    enumerate_ring(M2F2)
+    assert enumerate_ring.cache_info().currsize == 1
+    assert enumerate_ring.cache_info().maxsize == 1
 
 
 def test_enumeration_closed_under_ring_operations():
@@ -109,6 +112,22 @@ def test_cross_check_work_over_the_limit_is_rejected_before_the_first_pair():
     for ring in (MatrixRing(1, PrimeField(65521)), MatrixRing(2, PrimeField(5))):
         with pytest.raises(DomainError, match="MAX_CROSS_CHECK_WORK"):
             cross_check_criterion(ring, 2)
+
+
+def test_cross_check_caps_are_decided_before_anything_is_built(monkeypatch):
+    def fail(*args):
+        raise AssertionError("called before the caps were decided")
+
+    # 2^17 tuples per pair fail the tuple cap; 2 * 1 * 2^17 pass the work cap
+    monkeypatch.setattr(oracle, "degree_n_existence", fail)
+    with pytest.raises(DomainError, match="^131072 coefficient tuples, above the cap of 65536$"):
+        cross_check_criterion(MatrixRing(1, F2), 18)
+    # F_65521 passes the ring-size cap and fails the work cap; with the
+    # cache empty, building its elements would have to call _raw
+    enumerate_ring.cache_clear()
+    monkeypatch.setattr(oracle, "_raw", fail)
+    with pytest.raises(DomainError, match="MAX_CROSS_CHECK_WORK"):
+        cross_check_criterion(MatrixRing(1, PrimeField(65521)), 2)
 
 
 def test_cross_check_work_limit_admits_the_small_censuses():
