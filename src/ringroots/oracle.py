@@ -29,11 +29,8 @@ MAX_ENUMERATION = 65536
 MAX_CROSS_CHECK_WORK = 2**20
 
 
-def _checked_size(ring: Ring, n: int) -> int:
-    """p^(k*k), the element count of ring = M_k(F_p), once the degree n,
-    the ring size and the p^(k*k*(n-1)) coefficient tuples per pair pass
-    their caps."""
-    _check_degree(n)
+def _ring_size(ring: Ring) -> int:
+    """p^(k*k), the element count of ring = M_k(F_p), once it passes the cap."""
     if not isinstance(ring, MatrixRing) or not isinstance(ring.field, PrimeField):
         raise DomainError("only matrix rings over a prime field can be enumerated")
     p, e = ring.field.p, ring.k * ring.k
@@ -41,10 +38,18 @@ def _checked_size(ring: Ring, n: int) -> int:
     # power decides the cap without building p^(k*k) for a large k.
     if p ** min(e, MAX_ENUMERATION.bit_length()) > MAX_ENUMERATION:
         raise DomainError(f"ring has {p}^{e} elements, above the cap of {MAX_ENUMERATION}")
-    tuples = p ** (e * (n - 1))
+    return p**e
+
+
+def _checked_size(ring: Ring, n: int) -> int:
+    """_ring_size(ring), once the degree n and the size^(n-1) coefficient
+    tuples per pair also pass their caps."""
+    _check_degree(n)
+    size = _ring_size(ring)
+    tuples = size ** (n - 1)
     if tuples > MAX_ENUMERATION:
         raise DomainError(f"{tuples} coefficient tuples, above the cap of {MAX_ENUMERATION}")
-    return p**e
+    return size
 
 
 @lru_cache(maxsize=1)
@@ -52,8 +57,7 @@ def enumerate_ring(ring: Ring) -> tuple[Matrix, ...]:
     """All p^(k*k) elements of M_k(F_p): the row-major base-p digits of a
     counter, most significant first, so zero comes first.  Only the most
     recently enumerated ring is kept."""
-    # At n = 2 there is one tuple per element, so only the ring checks bind.
-    _checked_size(ring, 2)
+    _ring_size(ring)
     field, k = ring.field, ring.k
     return tuple(
         _raw(field, tuple(digits[i * k : (i + 1) * k] for i in range(k)), 1)
@@ -118,14 +122,9 @@ class PairRecord:
     solution_space_dim: int
 
     def to_json(self, ring: MatrixRing) -> dict:
-        return {
-            "x1": ring.element_to_json(self.x1),
-            "x2": ring.element_to_json(self.x2),
-            "criterion_exists": self.criterion_exists,
-            "brute_exists": self.brute_exists,
-            "brute_count": self.brute_count,
-            "solution_space_dim": self.solution_space_dim,
-        }
+        """The fields in declaration order, with both roots encoded."""
+        encoded = {"x1": ring.element_to_json(self.x1), "x2": ring.element_to_json(self.x2)}
+        return {**vars(self), **encoded}
 
 
 @dataclass(frozen=True)
