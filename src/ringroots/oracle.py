@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import mul
 
 from .construct import _assert_annihilates
@@ -52,17 +51,31 @@ def _checked_size(ring: Ring, n: int) -> int:
     return size
 
 
-@lru_cache(maxsize=1)
+def _digits(index: int, base: int, count: int) -> list[int]:
+    """The `count` base-`base` digits of index, most significant first."""
+    digits = [0] * count
+    for i in reversed(range(count)):
+        index, digits[i] = divmod(index, base)
+    return digits
+
+
+def _row_vectors(ring: MatrixRing) -> list[tuple[int, ...]]:
+    """The p^k rows of M_k(F_p) in digit-counting order."""
+    return list(itertools.product(range(ring.field.p), repeat=ring.k))
+
+
+def _element(ring: MatrixRing, rows: list[tuple[int, ...]], index: int) -> Matrix:
+    """Element `index` of the enumeration: row r is rows[d_r], where d_r
+    is the r-th base-p^k digit of index, most significant first."""
+    return _raw(ring.field, tuple(rows[d] for d in _digits(index, len(rows), ring.k)), 1)
+
+
 def enumerate_ring(ring: Ring) -> tuple[Matrix, ...]:
     """All p^(k*k) elements of M_k(F_p): the row-major base-p digits of a
-    counter, most significant first, so zero comes first.  Only the most
-    recently enumerated ring is kept."""
-    _ring_size(ring)
-    field, k = ring.field, ring.k
-    return tuple(
-        _raw(field, tuple(digits[i * k : (i + 1) * k] for i in range(k)), 1)
-        for digits in itertools.product(range(field.p), repeat=k * k)
-    )
+    counter, most significant first, so zero comes first."""
+    size = _ring_size(ring)
+    rows = _row_vectors(ring)
+    return tuple(_element(ring, rows, index) for index in range(size))
 
 
 @dataclass(frozen=True)
@@ -80,33 +93,48 @@ def brute_force_exists(x1: Matrix, x2: Matrix, n: int, ring: MatrixRing) -> Brut
     """Try every (a_1, ..., a_{n-1}) over `ring` for a monic degree-n
     polynomial with right roots x1 and x2.
 
-    A tuple works exactly when x2^n - x1^n + sum_i a_i (x2^i - x1^i) is
-    zero; a0 cancels from that difference and is then forced by x1, so
-    `count` is the number of such polynomials.  The target and every
-    product a * (x2^i - x1^i) are computed once, as row-major int lists
-    left unreduced, and each tuple only adds them and tests every entry
-    mod p.  The first witness in enumeration order is returned after
-    evaluating the full polynomial at both roots.
+    A tuple works exactly when a_1 D_1 + ... + a_{n-1} D_{n-1} equals
+    the target -(x2^n - x1^n), where D_i = x2^i - x1^i; a0 cancels from
+    that difference and is then forced by x1, so `count` is the number of
+    such polynomials.  Row r of a D_i is a[r] D_i, so the p^k row
+    products v D_i mod p, concatenated k at a time in digit-counting
+    order, give the table of all p^(k*k) products a D_i as reduced
+    row-major tuples, in `enumerate_ring` order.  For each prefix
+    (a_1, ..., a_{n-2}), in enumeration order, one reduced residual is
+    compared with every product a_{n-1} D_{n-1} by one `list.count`,
+    and `list.index` locates the first hit.  So every tuple is tested, in
+    enumeration order, and matrices are built only for the first
+    witness, which is checked by evaluating the full polynomial at both
+    roots.
     """
-    _checked_size(ring, n)
-    elements = enumerate_ring(ring)
+    size = _checked_size(ring, n)
     p = ring.field.p
+    rows = _row_vectors(ring)
     x1_powers = ring.powers(x1, n)
     x2_powers = ring.powers(x2, n)
-    target = [e for row in (x2_powers[n] - x1_powers[n])._rows for e in row]
-    diff_cols = (list(zip(*(x2_powers[i] - x1_powers[i])._rows)) for i in range(1, n))
-    tables = [
-        [[sum(map(mul, row, col)) for row in a._rows for col in cols] for a in elements]
-        for cols in diff_cols
-    ]
+    target = [-e % p for row in (x2_powers[n] - x1_powers[n])._rows for e in row]
+    tables = []
+    for i in range(1, n):
+        cols = list(zip(*(x2_powers[i] - x1_powers[i])._rows))
+        row_products = [tuple([sum(map(mul, v, col)) % p for col in cols]) for v in rows]
+        table = [()]
+        for _ in range(ring.k):
+            table = [a + r for a in table for r in row_products]
+        tables.append(table)
+    last = tables.pop()
 
-    tuples = zip(itertools.product(elements, repeat=n - 1), itertools.product(*tables))
-    hits = (tup for tup, terms in tuples if not any(sum(e) % p for e in zip(target, *terms)))
-    witness = next(hits, None)
-    if witness is None:
+    count = 0
+    first = None
+    for prefix_index, terms in enumerate(itertools.product(*tables)):
+        residual = tuple((t - sum(e)) % p for t, *e in zip(target, *terms))
+        hits = last.count(residual)
+        if hits and first is None:
+            first = prefix_index * size + last.index(residual)
+        count += hits
+    if first is None:
         return BruteForceResult(None, None, 0)
-    count = 1 + sum(1 for _ in hits)
 
+    witness = tuple(_element(ring, rows, d) for d in _digits(first, size, n - 1))
     a0 = _constant_term(witness, x1_powers)
     _assert_annihilates(_monic_polynomial(ring, witness, a0), (x1, x2))
     return BruteForceResult(witness, a0, count)

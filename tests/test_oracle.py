@@ -54,14 +54,6 @@ def test_enumeration_rejects_infinite_and_oversized_rings():
         enumerate_ring(MatrixRing(5, F2))
 
 
-def test_enumeration_is_cached_for_the_last_ring_only():
-    ring = MatrixRing(1, F3)
-    assert enumerate_ring(ring) is enumerate_ring(ring)
-    enumerate_ring(M2F2)
-    assert enumerate_ring.cache_info().currsize == 1
-    assert enumerate_ring.cache_info().maxsize == 1
-
-
 def test_enumeration_closed_under_ring_operations():
     elems = set(enumerate_ring(M2F2))
     for a, b in itertools.islice(itertools.product(elems, repeat=2), 64):
@@ -122,9 +114,8 @@ def test_cross_check_caps_are_decided_before_anything_is_built(monkeypatch):
     monkeypatch.setattr(oracle, "degree_n_existence", fail)
     with pytest.raises(DomainError, match="^131072 coefficient tuples, above the cap of 65536$"):
         cross_check_criterion(MatrixRing(1, F2), 18)
-    # F_65521 passes the ring-size cap and fails the work cap; with the
-    # cache empty, building its elements would have to call _raw
-    enumerate_ring.cache_clear()
+    # F_65521 passes the ring-size cap and fails the work cap; building
+    # its elements would have to call _raw
     monkeypatch.setattr(oracle, "_raw", fail)
     with pytest.raises(DomainError, match="MAX_CROSS_CHECK_WORK"):
         cross_check_criterion(MatrixRing(1, PrimeField(65521)), 2)
@@ -217,11 +208,18 @@ def _reference_brute_force(x1, x2, n, ring):
     return count > 0, count, witness, witness_a0
 
 
-@pytest.mark.parametrize("ring, n", [(MatrixRing(2, F3), 2), (M2F2, 3)])
-def test_brute_force_matches_unhoisted_reference(ring, n):
+# The cases search with an empty prefix (n = 2) and with prefixes of one
+# and two coefficients; each samples as many pairs as keep its reference
+# search under about 1 s.
+@pytest.mark.parametrize(
+    "ring, n, pairs",
+    [(MatrixRing(2, F3), 2, 30), (M2F2, 3, 30), (M2F2, 4, 1), (MatrixRing(1, PrimeField(7)), 4, 10)],
+    ids=["ring0-2", "ring1-3", "ring2-4", "ring3-4"],
+)
+def test_brute_force_matches_unhoisted_reference(ring, n, pairs):
     rng = random.Random(f"oracle-pin/{ring.field.p}/{n}")
     elements = list(enumerate_ring(ring))
-    for _ in range(30):
+    for _ in range(pairs):
         x1, x2 = rng.sample(elements, 2)
         result = brute_force_exists(x1, x2, n, ring)
         got = (result.exists, result.count, result.coefficients, result.a0)
