@@ -128,9 +128,11 @@ def _emit(obj, pretty: bool):
 
 def cmd_construct(job: JobSpec, args) -> int:
     trace = construct_with_roots(job.elements, exact_degree=args.exact_degree)
-    out = {"polynomial": trace.result.to_json() if trace.succeeded else None}
     if args.trace or not trace.succeeded:
-        out["trace"] = trace.to_json()
+        trace_json = trace.to_json()
+        out = {"polynomial": trace_json["result"], "trace": trace_json}
+    else:
+        out = {"polynomial": trace.result.to_json()}
     if trace.succeeded and args.verify:
         residuals = verify_roots(trace.result, job.elements)
         out["residuals"] = [job.ring.element_to_json(r) for r in residuals]

@@ -109,7 +109,7 @@ def construct_with_roots(roots, exact_degree: bool = False) -> ConstructionTrace
         h = poly.evaluate(root)
         if not h:
             if exact_degree:
-                poly = Polynomial.x(ring) * poly
+                poly = Polynomial(ring, (ring.zero, *poly.coeffs))
                 steps.append(ConstructionStep(index, h, BRANCH_PAD_WITH_X))
             else:
                 steps.append(ConstructionStep(index, h, BRANCH_ALREADY_ROOT))
@@ -120,9 +120,17 @@ def construct_with_roots(roots, exact_degree: bool = False) -> ConstructionTrace
             return ConstructionTrace(ring, tuple(steps), None)
         shifted = h * root * hinv
         steps.append(ConstructionStep(index, h, BRANCH_CONJUGATE, shifted))
-        poly = Polynomial.x_minus(ring, shifted) * poly
+        poly = _times_x_minus(shifted, poly)
 
     return ConstructionTrace(ring, tuple(steps), _assert_annihilates(poly, roots))
+
+
+def _times_x_minus(s, poly: Polynomial) -> Polynomial:
+    """(x - s) * poly, built as x*poly - s*poly: coefficients -s*p_0,
+    then p_(j-1) - s*p_j, then the leading p_d.  The variable is central,
+    so this is the product the convolution gives."""
+    p = poly.coeffs
+    return Polynomial(poly.ring, [-(s * p[0]), *(a - s * b for a, b in zip(p, p[1:])), p[-1]])
 
 
 def verify_roots(p: Polynomial, roots) -> tuple:

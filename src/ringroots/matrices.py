@@ -9,6 +9,10 @@ payloads, and ``==``, ``hash`` and ``bool`` work on the ints, as for
 descriptor supplies the rest (see ``scalars``).  Field elements are
 built only by the ``entries`` view, ``m[i, j]`` and JSON output.
 
+Polynomial evaluation runs ``_horner``: one Horner loop on the int rows
+over a common denominator, for both fields, with one ``normalize`` of
+the final value instead of one per step (see ``rings.Ring._horner``).
+
 Entries from outside are validated once, at the boundary:
 ``Matrix(...)``, ``from_rows`` and ``from_json`` check every entry
 against the field, and ring descriptors check membership of whole
@@ -19,7 +23,7 @@ linear-algebra routines (augmented systems).
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 from operator import add, mul, sub
 
 from .errors import MismatchError, ParseError
@@ -194,6 +198,31 @@ def _trusted(field, rows, den: int) -> Matrix:
     """A matrix from int rows over den > 0 that the field's
     ``normalize`` brings into canonical form."""
     return _raw(field, *field.normalize(rows, den))
+
+
+def _horner(coeffs, x: Matrix) -> Matrix:
+    """sum(coeffs[i] * x**i) for a non-empty sequence of square matrices
+    of x's field and shape.
+
+    With c_i = C_i / e_i, x = N / d and L = lcm(e_i), the accumulator
+    after k steps is A_k / (L * d**k): A_0 = C_n * (L / e_n) and
+    A_k = A_(k-1) N + C_(n-k) * (L / e_(n-k)) * d**k, the accumulator on
+    the left.  Over F_p every den is 1.  Only the final value goes
+    through the field's ``normalize``, so it is the canonical payload the
+    operators reach step by step.
+    """
+    cols = tuple(zip(*x._rows))
+    d = x._den
+    top = coeffs[-1]
+    den = lcm(*[c._den for c in coeffs])
+    s = den // top._den
+    acc = [[v * s for v in row] for row in top._rows]
+    for c in reversed(coeffs[:-1]):
+        den *= d
+        s = den // c._den
+        acc = [[sum(map(mul, row, col)) + v * s for col, v in zip(cols, c_row)]
+               for row, c_row in zip(acc, c._rows)]
+    return _trusted(x.field, tuple(map(tuple, acc)), den)
 
 
 def _aligned(a: Matrix, b: Matrix) -> tuple:

@@ -32,10 +32,6 @@ class Polynomial:
         return cls(ring, ())
 
     @classmethod
-    def x(cls, ring: Ring) -> "Polynomial":
-        return cls(ring, (ring.zero, ring.one))
-
-    @classmethod
     def x_minus(cls, ring: Ring, a) -> "Polynomial":
         """The monic linear factor x - a."""
         return cls(ring, (-ring.check(a), ring.one))
@@ -91,15 +87,15 @@ class Polynomial:
 
         Horner's rule acc -> acc*point + c_i gives the same value because
         the variable is central; the equality is exercised by tests
-        against the literal power sum.
+        against the literal power sum.  The ring runs the loop: quaternion
+        and matrix rings on their payloads' ints over one common
+        denominator, normalising only the final value, and a scalar ring
+        on the field's operators.
         """
         self.ring.check(point)
         if self.is_zero():
             return self.ring.zero
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * point + c
-        return acc
+        return self.ring._horner(self.coeffs, point)
 
     def divmod_linear(self, a):
         """Right division by the monic linear factor x - a.

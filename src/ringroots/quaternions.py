@@ -13,6 +13,10 @@ each result by a single gcd.  The components ``.a .b .c .d`` are
 read-only ``Fraction`` views, built on access.  Only the public
 constructor and ``from_json`` accept outside values, and they validate
 every component.
+
+Polynomial evaluation runs ``_horner``: one Horner loop on the ints over
+a common denominator, with one gcd for the final value instead of one
+per step (see ``rings.Ring._horner``).
 """
 
 from __future__ import annotations
@@ -189,6 +193,36 @@ class Quaternion:
             if value:
                 terms.append(f"{value}{unit}")
         return " + ".join(terms) if terms else "0"
+
+
+def _horner(coeffs, x) -> Quaternion:
+    """sum(coeffs[i] * x**i) for a non-empty coefficient sequence.
+
+    With c_i = C_i / e_i, x = N / d and L = lcm(e_i), the accumulator
+    after k steps is A_k / (L * d**k): A_0 = C_n * (L / e_n) and
+    A_k = A_(k-1) * N + C_(n-k) * (L / e_(n-k)) * d**k, the accumulator
+    on the left.  Only the final value is reduced, by one gcd, so it is
+    the canonical payload the operators reach step by step.
+    """
+    x0, x1, x2, x3 = x._n
+    d = x._den
+    top = coeffs[-1]
+    den = lcm(*[c._den for c in coeffs])
+    s = den // top._den
+    a0, a1, a2, a3 = (v * s for v in top._n)
+    for c in reversed(coeffs[:-1]):
+        den *= d
+        s = den // c._den
+        n0, n1, n2, n3 = c._n
+        # Quaternion.__mul__'s product formula, inlined: a shared helper
+        # would cost a call per product there.
+        a0, a1, a2, a3 = (
+            a0 * x0 - a1 * x1 - a2 * x2 - a3 * x3 + n0 * s,
+            a0 * x1 + a1 * x0 + a2 * x3 - a3 * x2 + n1 * s,
+            a0 * x2 - a1 * x3 + a2 * x0 + a3 * x1 + n2 * s,
+            a0 * x3 + a1 * x2 - a2 * x1 + a3 * x0 + n3 * s,
+        )
+    return _trusted(a0, a1, a2, a3, den)
 
 
 ZERO = _raw((0, 0, 0, 0), 1)

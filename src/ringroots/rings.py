@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from . import linalg
+from . import linalg, matrices, quaternions
 from .errors import DomainError, MismatchError, ParseError
 from .matrices import Matrix
 from .quaternions import ONE, ZERO, Quaternion
@@ -56,6 +56,15 @@ class Ring:
         while len(ladder) <= n:
             ladder.append(ladder[-1] * x)
         return ladder[: n + 1]
+
+    def _horner(self, coeffs, x):
+        """sum(coeffs[i] * x**i) for a non-empty coefficient sequence, by
+        Horner's rule acc -> acc*x + c_i on the payload operators.  Matrix
+        and quaternion rings run their payload's int kernel instead."""
+        acc = coeffs[-1]
+        for c in reversed(coeffs[:-1]):
+            acc = acc * x + c
+        return acc
 
     def invert(self, a):
         """Two-sided inverse of a, or None when a is not a unit."""
@@ -119,6 +128,7 @@ class MatrixRing(Ring):
     """Square k x k matrices over a field."""
 
     kind = "matrix"
+    _horner = staticmethod(matrices._horner)
 
     def __init__(self, k: int, field):
         if k < 1:
@@ -176,6 +186,7 @@ class QuaternionRing(Ring):
     kind = "quaternion"
     zero = ZERO
     one = ONE
+    _horner = staticmethod(quaternions._horner)
 
     def contains(self, x) -> bool:
         return isinstance(x, Quaternion)

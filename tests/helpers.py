@@ -3,6 +3,12 @@
 from fractions import Fraction
 
 from ringroots import (
+    BRANCH_ALREADY_ROOT,
+    BRANCH_CONJUGATE,
+    BRANCH_FAILED,
+    BRANCH_PAD_WITH_X,
+    ConstructionStep,
+    ConstructionTrace,
     Matrix,
     MatrixRing,
     Polynomial,
@@ -12,6 +18,7 @@ from ringroots import (
     QuaternionRing,
     RationalField,
     ScalarRing,
+    infer_ring,
 )
 
 QQ = RationalField()
@@ -133,3 +140,46 @@ def reference_rref(m: Matrix):
         pivots.append(col)
         pivot_row += 1
     return tuple(map(tuple, work)), len(pivots), tuple(pivots)
+
+
+def reference_evaluate(p: Polynomial, point):
+    """Horner's rule on the payload operators, one normalised value per
+    step: the evaluation the package used before its int kernels, kept as
+    the reference those kernels must reproduce."""
+    p.ring.check(point)
+    if p.is_zero():
+        return p.ring.zero
+    acc = p.coeffs[-1]
+    for c in reversed(p.coeffs[:-1]):
+        acc = acc * point + c
+    return acc
+
+
+def reference_construct(roots, exact_degree=False) -> ConstructionTrace:
+    """The root-folding loop with every new factor multiplied on by the
+    general convolution, x_minus(s) * poly and x * poly: the construction
+    the package used before it built x*P - s*P directly, kept as the
+    reference it must reproduce."""
+    roots = list(roots)
+    ring = infer_ring(roots[0])
+    x = Polynomial(ring, (ring.zero, ring.one))
+    poly = Polynomial.x_minus(ring, roots[0])
+    steps = []
+    for index in range(1, len(roots)):
+        root = roots[index]
+        h = reference_evaluate(poly, root)
+        if not h:
+            if exact_degree:
+                poly = x * poly
+                steps.append(ConstructionStep(index, h, BRANCH_PAD_WITH_X))
+            else:
+                steps.append(ConstructionStep(index, h, BRANCH_ALREADY_ROOT))
+            continue
+        hinv = ring.invert(h)
+        if hinv is None:
+            steps.append(ConstructionStep(index, h, BRANCH_FAILED))
+            return ConstructionTrace(ring, tuple(steps), None)
+        shifted = h * root * hinv
+        steps.append(ConstructionStep(index, h, BRANCH_CONJUGATE, shifted))
+        poly = Polynomial.x_minus(ring, shifted) * poly
+    return ConstructionTrace(ring, tuple(steps), poly)

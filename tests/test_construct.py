@@ -12,6 +12,7 @@ from ringroots import (
     BRANCH_PAD_WITH_X,
     DomainError,
     Matrix,
+    MatrixRing,
     MismatchError,
     Polynomial,
     Quaternion,
@@ -23,6 +24,7 @@ from ringroots import (
 
 from helpers import (
     F2,
+    F3,
     HH,
     M2F2,
     M2Q,
@@ -30,10 +32,14 @@ from helpers import (
     QJ,
     QQ,
     RAT,
+    involution_pair,
     rand_element,
     rand_fraction,
     rand_quaternion,
+    reference_construct,
 )
+
+M2F3 = MatrixRing(2, F3)
 
 
 def test_conjugate_shift_quaternion_example():
@@ -87,7 +93,7 @@ def test_duplicate_root_pads_with_x_under_exact_degree():
     assert trace.steps[0].branch == BRANCH_PAD_WITH_X
     assert trace.result.degree() == 2
     assert trace.result.is_monic()
-    assert trace.result == Polynomial.x(HH) * Polynomial.x_minus(HH, x1)
+    assert trace.result == Polynomial(HH, (HH.zero, HH.one)) * Polynomial.x_minus(HH, x1)
 
 
 def test_commutative_case_degenerates_to_classical_product():
@@ -227,3 +233,24 @@ def test_trace_serialization():
     assert padded["steps"][0]["branch"] == "pad_with_x"
     kept = construct_with_roots([QI, QI]).to_json()
     assert kept["steps"][0]["branch"] == "already_root"
+
+
+@pytest.mark.parametrize("ring", [HH, M2F2, M2F3, M2Q], ids=repr)
+def test_construction_matches_the_convolution_loop(ring):
+    # Roots drawn with replacement from a small pool, so repeated roots
+    # take the already-root and pad branches; over the matrix rings
+    # singular evaluation values obstruct, and the pool over Q holds the
+    # involution pair, whose difference is singular.
+    rng = random.Random(10)
+    pool = [rand_element(rng, ring) for _ in range(5)]
+    if ring == M2Q:
+        pool.extend(involution_pair())
+    branches = set()
+    for _ in range(60):
+        roots = [rng.choice(pool) for _ in range(rng.randint(1, 6))]
+        for exact_degree in (False, True):
+            trace = construct_with_roots(roots, exact_degree=exact_degree)
+            assert trace.to_json() == reference_construct(roots, exact_degree).to_json()
+            branches.update(step.branch for step in trace.steps)
+    expected = {BRANCH_CONJUGATE, BRANCH_ALREADY_ROOT, BRANCH_PAD_WITH_X}
+    assert branches == (expected if ring == HH else expected | {BRANCH_FAILED})

@@ -189,7 +189,7 @@ def test_degree_rules():
     assert quad_plus_one().degree() == 2
     assert Polynomial.zero(HH).degree() is None
     assert Polynomial.from_coefficients(RAT, [5]).degree() == 0
-    assert Polynomial.x(RAT).degree() == 1
+    assert Polynomial(RAT, (RAT.zero, RAT.one)).degree() == 1
 
 
 def test_degree_of_product_adds_when_leading_product_is_nonzero():
