@@ -11,7 +11,6 @@ from .construct import (
     BRANCH_PAD_WITH_X,
     ConstructionStep,
     ConstructionTrace,
-    conjugate_shift,
     construct_with_roots,
     verify_roots,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "ScalarRing",
     "StackedSolveOutcome",
     "brute_force_exists",
-    "conjugate_shift",
     "constant_term",
     "construct_with_roots",
     "cross_check_criterion",

@@ -13,11 +13,11 @@ stdout, diagnostics to stderr.  Exit codes are a stable contract:
         over Python's int/str digit limit, or a rational literal whose
         numerator or denominator as written would be over it)
     65  semantic error (ring mismatch, equal roots, wrong ring kind, a
-        limit exceeded: prime modulus, degree over MAX_DEGREE, a
-        cross-check over MAX_ENUMERATION ring elements or coefficient
-        tuples per pair or over MAX_CROSS_CHECK_WORK pair-tuple checks,
-        or a result number with more digits than Python's int/str
-        conversion limit)
+        limit exceeded: prime modulus, degree over MAX_DEGREE, a verify
+        polynomial of degree over MAX_DEGREE, a cross-check over
+        MAX_ENUMERATION ring elements or coefficient tuples per pair or
+        over MAX_CROSS_CHECK_WORK pair-tuple checks, or a result number
+        with more digits than Python's int/str conversion limit)
     70  internal error (an unexpected exception; EX_SOFTWARE)
 """
 
@@ -30,7 +30,8 @@ from dataclasses import dataclass, replace
 
 from .construct import construct_with_roots, verify_roots
 from .errors import DomainError, MismatchError, ParseError
-from .existence import CriterionReport, _constant_term, degree_n_existence, quadratic_existence
+from .existence import (MAX_DEGREE, CriterionReport, constant_term, degree_n_existence,
+                         quadratic_existence)
 from .oracle import cross_check_criterion
 from .polynomials import Polynomial
 from .rings import MatrixRing, Ring, ring_from_json
@@ -101,6 +102,9 @@ def parse_job(command: str, document, n_flag=None) -> JobSpec:
         if "polynomial" not in document:
             raise ParseError("verify needs a 'polynomial' entry")
         polynomial = Polynomial.from_json(document["polynomial"], ring=ring)
+        if (polynomial.degree() or 0) > MAX_DEGREE:
+            raise DomainError(f"polynomial degree {polynomial.degree()} is above the limit "
+                              f"of {MAX_DEGREE} (MAX_DEGREE)")
         ring = polynomial.ring
         elements = _decode_elements(ring, document, minimum=1)
     elif command == "cross-check":
@@ -156,10 +160,7 @@ def _criterion_with_override(job: JobSpec, report: CriterionReport, a1_json) -> 
         a1 = ring.element_from_json(json.loads(a1_json))
     except ValueError as exc:  # bad JSON, or an integer literal over the digit limit
         raise ParseError(str(exc)) from exc
-    x1, x2 = job.elements[0], job.elements[1]
-    if a1 * (x1 - x2) != x2 * x2 - x1 * x1:
-        raise DomainError("the supplied a1 does not satisfy the coefficient equation")
-    a0 = _constant_term((a1,), ring.powers(x1, 2))
+    a0 = constant_term((a1,), job.elements[0], job.elements[1], 2)
     return replace(report, coefficients=(a1,), a0=a0)
 
 

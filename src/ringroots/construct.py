@@ -75,19 +75,6 @@ class ConstructionTrace:
         }
 
 
-def conjugate_shift(d, h):
-    """Return h * d * h**-1 for invertible h, in the ring of d.
-
-    When the returned element is a root of a left factor L, d itself is a
-    root of the product L*Q with h = Q(d); this is what transports each
-    new root through the factors already constructed.
-    """
-    hinv = infer_ring(d).invert(h)
-    if hinv is None:
-        raise DomainError("conjugation needs an invertible element")
-    return h * d * hinv
-
-
 def construct_with_roots(roots, exact_degree: bool = False) -> ConstructionTrace:
     """Build a monic polynomial annihilating every element of `roots`.
 

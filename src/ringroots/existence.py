@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .construct import _assert_annihilates
 from .errors import DomainError, MismatchError
-from .linalg import rank, solve_stacked  # noqa: F401  (rank stays importable from here)
+from .linalg import rank, solve_stacked  # noqa: F401  (bench/tests reads existence.rank)
 from .matrices import Matrix
 from .polynomials import Polynomial
 from .rings import MatrixRing, Ring, infer_ring
@@ -174,7 +174,7 @@ def constant_term(coefficients, x1, x2, n: int):
     from_x1 = _constant_term(coefficients, ring.powers(x1, n))
     if from_x1 != _constant_term(coefficients, ring.powers(x2, n)):
         raise DomainError(
-            "coefficients do not satisfy the two-root difference equation; "
+            "coefficients (a1, ..., a_{n-1}) do not satisfy the two-root difference equation; "
             "no single constant term works for both roots"
         )
     return from_x1

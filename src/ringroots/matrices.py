@@ -7,11 +7,12 @@ gcd(``_den``, all numerators) = 1.  So equal matrices have equal
 payloads, and ``==``, ``hash`` and ``bool`` work on the ints, as for
 ``Quaternion``.  The arithmetic is the same for both fields; the field
 descriptor supplies the rest (see ``scalars``).  Field elements are
-built only by the ``entries`` view, ``m[i, j]`` and JSON output.
+built only by the ``entries`` view and JSON output.
 
 Polynomial evaluation runs ``_horner``: one Horner loop on the int rows
 over a common denominator, for both fields, with one ``normalize`` of
-the final value instead of one per step (see ``rings.Ring._horner``).
+the final value instead of one per step (see ``rings.Ring._horner``);
+over F_p the rows are also reduced mod p every few steps.
 
 Entries from outside are validated once, at the boundary:
 ``Matrix(...)``, ``from_rows`` and ``from_json`` check every entry
@@ -27,7 +28,6 @@ from math import gcd, lcm
 from operator import add, mul, sub
 
 from .errors import MismatchError, ParseError
-from .scalars import _square_and_multiply
 
 
 class Matrix:
@@ -78,10 +78,6 @@ class Matrix:
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
-    def __getitem__(self, key):
-        i, j = key
-        return self.field.scalar(self._rows[i][j], self._den)
-
     def _entrywise(self, op, other) -> "Matrix":
         if not isinstance(other, Matrix):
             raise MismatchError(f"expected a matrix, got {other!r}")
@@ -120,15 +116,6 @@ class Matrix:
             tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self._rows),
             self._den * other._den,
         )
-
-    def __pow__(self, n: int):
-        if not self.is_square():
-            raise MismatchError("only square matrices have powers")
-        if n < 0:
-            raise MismatchError("negative matrix powers are not defined here")
-        if n == 0:
-            return Matrix.identity(self.field, self.nrows)
-        return _square_and_multiply(self, n)
 
     def transpose(self) -> "Matrix":
         return _raw(self.field, tuple(zip(*self._rows)), self._den)
@@ -209,20 +196,26 @@ def _horner(coeffs, x: Matrix) -> Matrix:
     A_k = A_(k-1) N + C_(n-k) * (L / e_(n-k)) * d**k, the accumulator on
     the left.  Over F_p every den is 1.  Only the final value goes
     through the field's ``normalize``, so it is the canonical payload the
-    operators reach step by step.
+    operators reach step by step.  Over F_p a step adds about
+    log2(k*p) bits to the entries, so every ``every`` steps the rows are
+    reduced mod p, keeping them under about 64 + log2(p) bits.
     """
+    field = x.field
     cols = tuple(zip(*x._rows))
     d = x._den
     top = coeffs[-1]
     den = lcm(*[c._den for c in coeffs])
     s = den // top._den
     acc = [[v * s for v in row] for row in top._rows]
-    for c in reversed(coeffs[:-1]):
+    every = max(1, 64 // (len(cols) * field.p).bit_length()) if field.kind == "prime" else 0
+    for step, c in enumerate(reversed(coeffs[:-1]), 1):
         den *= d
         s = den // c._den
         acc = [[sum(map(mul, row, col)) + v * s for col, v in zip(cols, c_row)]
                for row, c_row in zip(acc, c._rows)]
-    return _trusted(x.field, tuple(map(tuple, acc)), den)
+        if every and step % every == 0:
+            acc = [field.reduce_row(row) for row in acc]
+    return _trusted(field, tuple(map(tuple, acc)), den)
 
 
 def _aligned(a: Matrix, b: Matrix) -> tuple:

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import ParseError
-from .scalars import _square_and_multiply, parse_rational
+from .scalars import parse_rational
 
 
 def _raw(n, den) -> "Quaternion":
@@ -134,13 +134,6 @@ class Quaternion:
         if other is None:
             return NotImplemented
         return other * self
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        if n == 0:
-            return ONE
-        return _square_and_multiply(self, n)
 
     def conjugate(self) -> "Quaternion":
         a, b, c, d = self._n

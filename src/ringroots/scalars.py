@@ -129,12 +129,6 @@ class PrimeFieldElement:
             return NotImplemented
         return PrimeFieldElement(self.residue - other.residue, self.modulus)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return PrimeFieldElement(other.residue - self.residue, self.modulus)
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -143,19 +137,8 @@ class PrimeFieldElement:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
-
     def __neg__(self):
         return PrimeFieldElement(-self.residue, self.modulus)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        return PrimeFieldElement(pow(self.residue, n, self.modulus), self.modulus)
 
     def inverse(self) -> "PrimeFieldElement":
         if self.residue == 0:
@@ -305,19 +288,6 @@ class PrimeField:
 
     def __repr__(self):
         return f"PrimeField({self.p})"
-
-
-def _square_and_multiply(x, n: int):
-    """x**n for n >= 1 under any associative multiplication, in about
-    2*log2(n) multiplies instead of n - 1."""
-    result = None
-    while True:
-        if n & 1:
-            result = x if result is None else result * x
-        n >>= 1
-        if not n:
-            return result
-        x = x * x
 
 
 def field_from_json(obj) -> RationalField | PrimeField:

@@ -193,6 +193,23 @@ def test_verify_nonroot_exits_1(monkeypatch, capsys):
     assert payload["residuals"] == [["0", "-1", "1", "0"]]
 
 
+def test_verify_degree_over_the_limit_exits_65(monkeypatch, capsys):
+    # 66 coefficients: degree 65, one over MAX_DEGREE = 64; the limit is
+    # decided before any evaluation, so nothing reaches stdout.
+    coefficients = [[str(i % 3), "1", "0", "-1/2"] for i in range(65)] + [["1", "0", "0", "0"]]
+    doc = {"polynomial": {"ring": QUAT_RING, "coefficients": coefficients},
+           "elements": [["0", "1", "0", "0"], ["1/2", "0", "1", "0"]]}
+    code, out, err = run_cli(monkeypatch, capsys, ["verify"], doc)
+    assert code == 65
+    assert out == ""
+    assert "MAX_DEGREE" in err and "Traceback" not in err
+
+    doc["polynomial"]["coefficients"] = coefficients[1:]  # degree 64 is still verified
+    code, out, _ = run_cli(monkeypatch, capsys, ["verify"], doc)
+    assert code in (0, 1)
+    assert len(json.loads(out)["residuals"]) == 2
+
+
 def test_verify_ring_mismatch_exits_65(monkeypatch, capsys):
     poly = {"ring": QUAT_RING, "coefficients": [["1", "0", "0", "0"]]}
     doc = {"ring": MAT2_RING, "polynomial": poly, "elements": [[[0, 0], [0, 0]]]}

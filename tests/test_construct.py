@@ -16,7 +16,6 @@ from ringroots import (
     MismatchError,
     Polynomial,
     Quaternion,
-    conjugate_shift,
     construct_with_roots,
     enumerate_ring,
     verify_roots,
@@ -42,40 +41,30 @@ from helpers import (
 M2F3 = MatrixRing(2, F3)
 
 
-def test_conjugate_shift_quaternion_example():
-    # folding j into (x - i): h = j - i, and h*j*h^-1 = -i
-    h = QJ - QI
-    assert conjugate_shift(QJ, h) == -QI
-
-
-def test_conjugate_shift_identity_element():
+def test_conjugate_step_with_identity_value_keeps_the_root():
+    # folding d into (x - (d - 1)): h = 1, so h*d*h^-1 = d
     d = Quaternion(2, 3, 0, 1)
-    assert conjugate_shift(d, HH.one) == d
+    (step,) = construct_with_roots([d - 1, d]).steps
+    assert step.branch == BRANCH_CONJUGATE
+    assert step.evaluation_value == HH.one and step.conjugated_root == d
 
 
-def test_conjugate_shift_commutative_ring_is_trivial():
+def test_conjugate_step_over_a_commutative_ring_is_trivial():
     rng = random.Random(0)
     for _ in range(20):
-        d = rand_fraction(rng)
-        h = rand_fraction(rng)
-        if h == 0:
-            continue
-        assert conjugate_shift(d, h) == d
-
-
-def test_conjugate_shift_requires_invertible():
-    with pytest.raises(DomainError):
-        conjugate_shift(QI, HH.zero)
-    singular = M2Q.element([[1, -1], [-1, 1]])
-    with pytest.raises(DomainError):
-        conjugate_shift(M2Q.one, singular)
+        roots = [rand_fraction(rng) for _ in range(3)]
+        for step in construct_with_roots(roots).steps:
+            if step.branch == BRANCH_CONJUGATE:
+                assert step.conjugated_root == roots[step.index]
 
 
 def test_two_pure_units_give_quad_plus_one():
+    # folding j into (x - i): h = j - i, and h*j*h^-1 = -i
     trace = construct_with_roots([QI, QJ])
     assert trace.succeeded
     assert trace.result == Polynomial.from_coefficients(HH, [HH.one, HH.zero, HH.one])
     assert trace.steps[0].branch == BRANCH_CONJUGATE
+    assert trace.steps[0].evaluation_value == QJ - QI
     assert trace.steps[0].conjugated_root == -QI
     assert all(HH.is_zero(r) for r in verify_roots(trace.result, [QI, QJ]))
 

@@ -26,6 +26,7 @@ from helpers import (
     F7,
     HH,
     M2Q,
+    M3Q,
     QI,
     QJ,
     QQ,
@@ -120,7 +121,7 @@ def test_rank_gap_pair_published_cubic_verifies():
 def test_rank_gap_pair_direct_construction_is_absent():
     x1, x2 = rank_gap_pair()
     assert rank(x1 - x2) < 2
-    assert rank(x1**2 - x2**2) < 2
+    assert rank(M2Q.powers(x1, 2)[2] - M2Q.powers(x2, 2)[2]) < 2
     assert invertible_difference_construct(x1, x2, 3) is None
 
 
@@ -131,9 +132,10 @@ def test_zero_column_pair_has_no_cubic():
     assert report.rank_difference_matrix < report.rank_augmented
     # the structural reason: both power differences have a zero first
     # column while the cube difference does not
+    p1, p2 = M3Q.powers(x1, 3), M3Q.powers(x2, 3)
     assert not any((x1 - x2).transpose().entries[0])
-    assert not any((x1**2 - x2**2).transpose().entries[0])
-    assert any((x2**3 - x1**3).transpose().entries[0])
+    assert not any((p1[2] - p2[2]).transpose().entries[0])
+    assert any((p2[3] - p1[3]).transpose().entries[0])
 
 
 def test_constant_term_examples():
@@ -208,8 +210,9 @@ def test_transposed_column_formulation_agrees():
             trials.append((x1, x2))
     for x1, x2 in trials:
         report = quadratic_existence(x1, x2)
+        ring = MatrixRing(x1.nrows, QQ)
         dt = (x1 - x2).transpose()
-        rhs_t = x2.transpose() ** 2 - x1.transpose() ** 2
+        rhs_t = ring.powers(x2.transpose(), 2)[2] - ring.powers(x1.transpose(), 2)[2]
         assert report.exists == (rank(dt) == rank(dt.augment(rhs_t)))
 
 
@@ -330,10 +333,12 @@ def _reference_ranks(x1, x2, n):
     """Ranks of the stacked system [A_1^T | ... | A_{n-1}^T] and of it
     augmented with B^T, A_i = x1^i - x2^i and B = x2^n - x1^n, each from
     its own element-wise elimination."""
+    ring = MatrixRing(x1.nrows, x1.field)
+    p1, p2 = ring.powers(x1, n), ring.powers(x2, n)
     system = (x1 - x2).transpose()
     for i in range(2, n):
-        system = system.augment((x1**i - x2**i).transpose())
-    augmented = system.augment((x2**n - x1**n).transpose())
+        system = system.augment((p1[i] - p2[i]).transpose())
+    augmented = system.augment((p2[n] - p1[n]).transpose())
     return reference_rref(system)[1], reference_rref(augmented)[1]
 
 

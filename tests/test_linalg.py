@@ -25,6 +25,8 @@ from helpers import (
     F2,
     F3,
     F7,
+    M2Q,
+    M3Q,
     QQ,
     involution_pair,
     rand_matrix,
@@ -75,22 +77,22 @@ def test_rank_examples():
 def _is_rref(m: Matrix, pivots) -> bool:
     # leading 1s, zeroed pivot columns, strictly right-moving staircase,
     # zero rows at the bottom
-    field = m.field
+    field, e = m.field, m.entries
     last = -1
     for row_idx, col in enumerate(pivots):
         if col <= last:
             return False
         last = col
-        if m[row_idx, col] != field.one:
+        if e[row_idx][col] != field.one:
             return False
         for r in range(m.nrows):
-            if r != row_idx and m[r, col]:
+            if r != row_idx and e[r][col]:
                 return False
         for c in range(col):
-            if m[row_idx, c]:
+            if e[row_idx][c]:
                 return False
     for r in range(len(pivots), m.nrows):
-        if any(m[r, c] for c in range(m.ncols)):
+        if any(e[r][c] for c in range(m.ncols)):
             return False
     return True
 
@@ -244,8 +246,9 @@ def test_solution_count_is_p_to_the_dim_over_f2():
 def test_solve_stacked_cubic_system():
     # the joint system behind the rank-gap pair's cubic annihilator
     x1, x2 = rank_gap_pair()
-    blocks = [x1 - x2, x1**2 - x2**2]
-    rhs = x2**3 - x1**3
+    p1, p2 = M2Q.powers(x1, 3), M2Q.powers(x2, 3)
+    blocks = [x1 - x2, p1[2] - p2[2]]
+    rhs = p2[3] - p1[3]
     outcome = solve_stacked(blocks, rhs)
     assert outcome.consistent
     a1, a2 = outcome.particular
@@ -257,8 +260,9 @@ def test_solve_stacked_cubic_system():
 
 def test_solve_stacked_inconsistent_for_zero_column_pair():
     x1, x2 = zero_column_pair()
-    blocks = [x1 - x2, x1**2 - x2**2]
-    outcome = solve_stacked(blocks, x2**3 - x1**3)
+    p1, p2 = M3Q.powers(x1, 3), M3Q.powers(x2, 3)
+    blocks = [x1 - x2, p1[2] - p2[2]]
+    outcome = solve_stacked(blocks, p2[3] - p1[3])
     assert not outcome.consistent
     assert outcome.particular is None
 

@@ -5,9 +5,19 @@ from fractions import Fraction
 
 import pytest
 
-from ringroots import Matrix, MismatchError, ParseError, PrimeFieldElement, rref
+from ringroots import (
+    Matrix,
+    MatrixRing,
+    MismatchError,
+    ParseError,
+    Polynomial,
+    PrimeField,
+    PrimeFieldElement,
+    Ring,
+    rref,
+)
 
-from helpers import F2, F3, F7, QQ, nilpotent_shift_pair, rand_matrix, rank_gap_pair
+from helpers import F2, F3, F7, M2Q, QQ, nilpotent_shift_pair, rand_matrix, rank_gap_pair
 
 
 def test_nilpotent_square_is_zero():
@@ -27,13 +37,13 @@ def test_identity_and_additive_inverse():
 
 def test_cube_returns_to_base_for_rank_gap_root():
     x1, _ = rank_gap_pair()
-    assert x1**3 == x1
+    assert M2Q.powers(x1, 3)[3] == x1
 
 
 def test_power_zero_is_identity():
     rng = random.Random(1)
     m = rand_matrix(rng, QQ, 2)
-    assert m**0 == Matrix.identity(QQ, 2)
+    assert M2Q.powers(m, 0)[0] == Matrix.identity(QQ, 2)
 
 
 def test_shape_and_field_mismatches_are_hard_errors():
@@ -50,8 +60,6 @@ def test_shape_and_field_mismatches_are_hard_errors():
         a * c
     with pytest.raises(MismatchError):
         Matrix.from_rows(QQ, [[1, 2], [3]])
-    with pytest.raises(MismatchError):
-        b**2
 
 
 def test_transpose_and_augment():
@@ -68,7 +76,7 @@ def test_transpose_and_augment():
 def test_rectangular_product_shapes():
     a = Matrix.from_rows(QQ, [[1, 2, 3]])
     b = Matrix.from_rows(QQ, [[1], [1], [1]])
-    assert (a * b)[0, 0] == 6
+    assert (a * b).entries[0][0] == 6
     assert (b * a).nrows == 3
 
 
@@ -86,15 +94,16 @@ def test_json_round_trip_both_fields():
 
 def test_entry_access():
     m = Matrix.from_rows(QQ, [[1, 2], [3, 4]])
-    assert m[1, 0] == 3
+    assert m.entries[1][0] == 3
     assert m.entries[0] == (QQ.element(1), QQ.element(2))
     assert m.transpose().entries[1] == (QQ.element(2), QQ.element(4))
 
 
 def _literal_product(a, b):
     """The product as a sum of PrimeFieldElement products, entry by entry."""
+    ea, eb = a.entries, b.entries
     return [
-        [sum((a[i, l] * b[l, j] for l in range(a.ncols)), PrimeFieldElement(0, a.field.p))
+        [sum((ea[i][l] * eb[l][j] for l in range(a.ncols)), PrimeFieldElement(0, a.field.p))
          for j in range(b.ncols)]
         for i in range(a.nrows)
     ]
@@ -179,3 +188,20 @@ def test_boundary_rejects_invalid_entries():
         Matrix.from_rows(F2, [[PrimeFieldElement(1, 3)]])
     with pytest.raises(ParseError):
         Matrix.from_json(QQ, [[1, 2], [3]])
+
+
+@pytest.mark.parametrize("p", [2, 65521, 3317044064679887385961813])
+def test_prime_field_horner_matches_the_operator_loop_at_degree_64(p):
+    # The int kernel reduces its accumulator mod p only every few steps
+    # (every 16th at p = 2, every step at the 25-digit p, and the last
+    # steps at 65521 stay unreduced before the final normalisation); the
+    # value must be the operator loop's, payload for payload.
+    field = PrimeField(p)
+    ring = MatrixRing(6, field)
+    rng = random.Random(p)
+    poly = Polynomial(ring, [rand_matrix(rng, field, 6) for _ in range(64)] + [ring.one])
+    for _ in range(3):
+        x = rand_matrix(rng, field, 6)
+        value = poly.evaluate(x)
+        assert value == Ring._horner(ring, poly.coeffs, x)
+        assert value._den == 1 and all(0 <= a < p for row in value._rows for a in row)

@@ -54,7 +54,7 @@ def operands(draw):
 
 
 def _grid(m):
-    return [[m[i, j] for j in range(m.ncols)] for i in range(m.nrows)]
+    return [list(row) for row in m.entries]
 
 
 def _assert_entries(m, expected):

@@ -188,8 +188,7 @@ def _reference_brute_force(x1, x2, n, ring):
         Matrix.from_rows(ring.field, [digits[i * k : (i + 1) * k] for i in range(k)])
         for digits in itertools.product(range(p), repeat=k * k)
     ]
-    x1_powers = [x1**i for i in range(n + 1)]
-    x2_powers = [x2**i for i in range(n + 1)]
+    x1_powers, x2_powers = ring.powers(x1, n), ring.powers(x2, n)
 
     count = 0
     witness = None

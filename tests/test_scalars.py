@@ -86,7 +86,7 @@ def test_prime_field_arithmetic_closed():
     for _ in range(300):
         a = PrimeFieldElement(random.randrange(100), 7)
         b = PrimeFieldElement(random.randrange(100), 7)
-        for value in (a + b, a - b, a * b, -a, a**3):
+        for value in (a + b, a - b, a * b, -a, a * a * a):
             assert 0 <= value.residue < 7
 
 
@@ -103,7 +103,7 @@ def test_prime_field_inverse():
 def test_prime_field_division():
     a = F7.element(3)
     b = F7.element(4)
-    assert (a / b) * b == a
+    assert (a * b.inverse()) * b == a
 
 
 def test_mixed_moduli_rejected():
