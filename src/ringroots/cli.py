@@ -14,7 +14,8 @@ stdout, diagnostics to stderr.  Exit codes are a stable contract:
         numerator or denominator as written would be over it)
     65  semantic error (ring mismatch, equal roots, wrong ring kind, a
         limit exceeded: prime modulus, degree over MAX_DEGREE, a verify
-        polynomial of degree over MAX_DEGREE, a cross-check over
+        polynomial of degree over MAX_DEGREE, a construct document of
+        more than MAX_ROOTS elements, a cross-check over
         MAX_ENUMERATION ring elements or coefficient tuples per pair or
         over MAX_CROSS_CHECK_WORK pair-tuple checks, or a result number
         with more digits than Python's int/str conversion limit)
@@ -43,6 +44,11 @@ EX_NOT_FOUND = 3
 EX_PARSE = 64
 EX_SEMANTIC = 65
 EX_SOFTWARE = 70
+
+# Most roots a construct document may give.  The result's degree is at
+# most the root count, so verify accepts every polynomial construct
+# emits.  The library's construct_with_roots stays unlimited.
+MAX_ROOTS = MAX_DEGREE
 
 
 class _UsageError(Exception):
@@ -86,6 +92,21 @@ def _decode_elements(ring, document, minimum=1, exactly=None):
     return tuple(ring.element_from_json(e) for e in raw)
 
 
+def _decode_polynomial(obj, ring) -> Polynomial:
+    """The verify polynomial, of degree at most MAX_DEGREE.  Entries above
+    index MAX_DEGREE are decoded from the top down, and the first nonzero
+    one raises DomainError before anything below it is decoded."""
+    raw = obj.get("coefficients") if isinstance(obj, dict) else None
+    if isinstance(raw, list) and len(raw) > MAX_DEGREE + 1:
+        ring = Polynomial.from_json({**obj, "coefficients": []}, ring=ring).ring
+        for degree in range(len(raw) - 1, MAX_DEGREE, -1):
+            if not ring.is_zero(ring.element_from_json(raw[degree])):
+                raise DomainError(f"polynomial degree {degree} is above the limit "
+                                  f"of {MAX_DEGREE} (MAX_DEGREE)")
+        obj = {**obj, "coefficients": raw[: MAX_DEGREE + 1]}
+    return Polynomial.from_json(obj, ring=ring)
+
+
 def parse_job(command: str, document, n_flag=None) -> JobSpec:
     if not isinstance(document, dict):
         raise ParseError("the input document must be a JSON object")
@@ -101,10 +122,7 @@ def parse_job(command: str, document, n_flag=None) -> JobSpec:
     if command == "verify":
         if "polynomial" not in document:
             raise ParseError("verify needs a 'polynomial' entry")
-        polynomial = Polynomial.from_json(document["polynomial"], ring=ring)
-        if (polynomial.degree() or 0) > MAX_DEGREE:
-            raise DomainError(f"polynomial degree {polynomial.degree()} is above the limit "
-                              f"of {MAX_DEGREE} (MAX_DEGREE)")
+        polynomial = _decode_polynomial(document["polynomial"], ring)
         ring = polynomial.ring
         elements = _decode_elements(ring, document, minimum=1)
     elif command == "cross-check":
@@ -118,6 +136,9 @@ def parse_job(command: str, document, n_flag=None) -> JobSpec:
     else:
         if ring is None:
             raise ParseError(f"{command} needs a 'ring' entry")
+        raw = document.get("elements")
+        if isinstance(raw, list) and len(raw) > MAX_ROOTS:
+            raise DomainError(f"{len(raw)} elements are above the limit of {MAX_ROOTS} (MAX_ROOTS)")
         elements = _decode_elements(ring, document, minimum=1)
 
     return JobSpec(command, ring, elements, polynomial, n)

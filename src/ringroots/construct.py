@@ -9,15 +9,24 @@ restores the exact degree when requested.  Over a division ring those two
 cases are exhaustive, so the construction always succeeds there; over a
 matrix ring a nonzero singular h obstructs the recursion and the trace
 records where.
+
+Over the quaternions R is held as int numerator 4-tuples over one common
+denominator D, as `Matrix` holds its entries.  With the conjugated root
+s = t/c, the new numerators c*R_(j-1) - t*R_j over D*c are reduced by
+one gcd per step, and the coefficients become `Quaternion`s once, at
+the end.  The matrix and scalar rings fold on `Polynomial`s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from math import gcd
 
+from . import quaternions
 from .errors import DomainError
 from .polynomials import Polynomial
-from .rings import Ring, infer_ring
+from .rings import QuaternionRing, Ring, infer_ring
 
 BRANCH_CONJUGATE = "conjugate"
 BRANCH_ALREADY_ROOT = "already_root"
@@ -88,7 +97,16 @@ def construct_with_roots(roots, exact_degree: bool = False) -> ConstructionTrace
     if not roots:
         raise DomainError("at least one root is required")
     ring = infer_ring(roots[0])
+    fold = _fold_quaternions if isinstance(ring, QuaternionRing) else _fold
+    steps, poly = fold(ring, roots, exact_degree)
+    if poly is None:
+        return ConstructionTrace(ring, steps, None)
+    return ConstructionTrace(ring, steps, _assert_annihilates(poly, roots))
 
+
+def _fold(ring: Ring, roots, exact_degree: bool) -> tuple:
+    """(steps, result or None): the recursion on `Polynomial`s, for the
+    matrix and scalar rings."""
     poly = Polynomial.x_minus(ring, roots[0])
     steps = []
     for index in range(1, len(roots)):
@@ -104,12 +122,11 @@ def construct_with_roots(roots, exact_degree: bool = False) -> ConstructionTrace
         hinv = ring.invert(h)
         if hinv is None:
             steps.append(ConstructionStep(index, h, BRANCH_FAILED))
-            return ConstructionTrace(ring, tuple(steps), None)
+            return tuple(steps), None
         shifted = h * root * hinv
         steps.append(ConstructionStep(index, h, BRANCH_CONJUGATE, shifted))
         poly = _times_x_minus(shifted, poly)
-
-    return ConstructionTrace(ring, tuple(steps), _assert_annihilates(poly, roots))
+    return tuple(steps), poly
 
 
 def _times_x_minus(s, poly: Polynomial) -> Polynomial:
@@ -118,6 +135,60 @@ def _times_x_minus(s, poly: Polynomial) -> Polynomial:
     so this is the product the convolution gives."""
     p = poly.coeffs
     return Polynomial(poly.ring, [-(s * p[0]), *(a - s * b for a, b in zip(p, p[1:])), p[-1]])
+
+
+def _fold_quaternions(ring: Ring, roots, exact_degree: bool) -> tuple:
+    """(steps, result): the recursion over H with R held as int numerator
+    4-tuples over one common denominator.
+
+    h = R(r) comes from ``quaternions._horner_ints`` and one gcd, and the
+    conjugated root s = h*r*h**-1 from the operators, so both are the
+    canonical values the `Polynomial` loop reaches.  The coefficients
+    become `Quaternion`s once, at the end.
+    """
+    first = roots[0]
+    num, den = [tuple(-v for v in first._n), (first._den, 0, 0, 0)], first._den
+    steps = []
+    for index in range(1, len(roots)):
+        root = ring.check(roots[index])
+        acc, scale = quaternions._horner_ints(num, root)
+        h = quaternions._trusted(*acc, den * scale)
+        if not h:
+            if exact_degree:
+                num.insert(0, (0, 0, 0, 0))
+                steps.append(ConstructionStep(index, h, BRANCH_PAD_WITH_X))
+            else:
+                steps.append(ConstructionStep(index, h, BRANCH_ALREADY_ROOT))
+            continue
+        shifted = h * root * h.inverse()
+        steps.append(ConstructionStep(index, h, BRANCH_CONJUGATE, shifted))
+        num, den = _times_x_minus_numerators(shifted, num, den)
+    return tuple(steps), Polynomial(ring, [quaternions._trusted(*q, den) for q in num])
+
+
+def _times_x_minus_numerators(s, num: list, den: int) -> tuple:
+    """(x - s) * R for R = num / den, as (numerators, denominator) reduced
+    by one gcd.  With s = t / c the coefficients are
+    q_j = (c*R_(j-1) - t*R_j) / (den*c), R_(-1) = R_(d+1) = 0."""
+    t0, t1, t2, t3 = s._n
+    c = s._den
+    out = []
+    p0 = p1 = p2 = p3 = 0
+    for n0, n1, n2, n3 in num:
+        # Quaternion.__mul__'s product t*R_j, inlined
+        out.append((
+            c * p0 - (t0 * n0 - t1 * n1 - t2 * n2 - t3 * n3),
+            c * p1 - (t0 * n1 + t1 * n0 + t2 * n3 - t3 * n2),
+            c * p2 - (t0 * n2 - t1 * n3 + t2 * n0 + t3 * n1),
+            c * p3 - (t0 * n3 + t1 * n2 - t2 * n1 + t3 * n0),
+        ))
+        p0, p1, p2, p3 = n0, n1, n2, n3
+    out.append((c * p0, c * p1, c * p2, c * p3))
+    den *= c
+    g = gcd(den, *chain.from_iterable(out))
+    if g == 1:
+        return out, den
+    return [(q0 // g, q1 // g, q2 // g, q3 // g) for q0, q1, q2, q3 in out], den // g
 
 
 def verify_roots(p: Polynomial, roots) -> tuple:

@@ -11,9 +11,11 @@ pivots; a solution exists iff they agree, by Kronecker-Capelli), the
 particular solution with free variables zero, and the dimension of the
 solution space; solving for all a_i jointly, rather than pinning some at
 zero first, keeps the criterion complete.  Over any ring with identity, an invertible power
-difference x1^j - x2^j yields a direct construction.  Every path reads
-its powers off one ladder per root, and every returned polynomial is
-evaluated at both roots before it leaves.
+difference x1^j - x2^j yields a direct construction.  Both read their
+power differences off one ladder per root; the constant term
+a0 = -(x1^n + sum a_i x1^i) comes from the ring's Horner kernel at x1,
+and every returned polynomial is evaluated at both roots before it
+leaves.
 """
 
 from __future__ import annotations
@@ -117,7 +119,7 @@ def _criterion(x1: Matrix, x2: Matrix, n: int) -> CriterionReport:
     coefficients = a0 = None
     if outcome.consistent:
         coefficients = outcome.particular
-        a0 = _constant_term(coefficients, powers1)
+        a0 = _constant_term(ring, coefficients, x1)
         _assert_annihilates(_monic_polynomial(ring, coefficients, a0), (x1, x2))
     return CriterionReport(
         n=n,
@@ -156,7 +158,7 @@ def invertible_difference_construct(x1, x2, n: int) -> Polynomial | None:
 
     coefficients = [ring.zero] * (n - 1)
     coefficients[j - 1] = (powers2[n] - powers1[n]) * inverse
-    a0 = _constant_term(coefficients, powers1)
+    a0 = _constant_term(ring, coefficients, x1)
     return _assert_annihilates(_monic_polynomial(ring, coefficients, a0), (x1, x2))
 
 
@@ -171,8 +173,8 @@ def constant_term(coefficients, x1, x2, n: int):
     coefficients = [ring.check(c) for c in coefficients]
     if len(coefficients) != n - 1:
         raise DomainError(f"expected {n - 1} coefficients for degree {n}")
-    from_x1 = _constant_term(coefficients, ring.powers(x1, n))
-    if from_x1 != _constant_term(coefficients, ring.powers(x2, n)):
+    from_x1 = _constant_term(ring, coefficients, x1)
+    if from_x1 != _constant_term(ring, coefficients, ring.check(x2)):
         raise DomainError(
             "coefficients (a1, ..., a_{n-1}) do not satisfy the two-root difference equation; "
             "no single constant term works for both roots"
@@ -180,9 +182,7 @@ def constant_term(coefficients, x1, x2, n: int):
     return from_x1
 
 
-def _constant_term(coefficients, powers):
-    """-(x^n + sum_i a_i x^i), from the ladder powers = [x^0, ..., x^n]."""
-    a0 = -powers[-1]
-    for c, power in zip(coefficients, powers[1:]):
-        a0 = a0 - c * power
-    return a0
+def _constant_term(ring: Ring, coefficients, x):
+    """-(x^n + sum_i a_i x^i) for coefficients (a_1, ..., a_(n-1)): minus
+    the value at x of x^n + ... + a_1 x, by the ring's Horner kernel."""
+    return -ring._horner((ring.zero, *coefficients, ring.one), x)

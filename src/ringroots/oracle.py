@@ -135,7 +135,7 @@ def brute_force_exists(x1: Matrix, x2: Matrix, n: int, ring: MatrixRing) -> Brut
         return BruteForceResult(None, None, 0)
 
     witness = tuple(_element(ring, rows, d) for d in _digits(first, size, n - 1))
-    a0 = _constant_term(witness, x1_powers)
+    a0 = _constant_term(ring, witness, x1)
     _assert_annihilates(_monic_polynomial(ring, witness, a0), (x1, x2))
     return BruteForceResult(witness, a0, count)
 

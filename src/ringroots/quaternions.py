@@ -16,7 +16,9 @@ every component.
 
 Polynomial evaluation runs ``_horner``: one Horner loop on the ints over
 a common denominator, with one gcd for the final value instead of one
-per step (see ``rings.Ring._horner``).
+per step (see ``rings.Ring._horner``).  Its int core ``_horner_ints``
+also evaluates the numerators the construction keeps over one
+denominator (see ``construct``).
 """
 
 from __future__ import annotations
@@ -191,22 +193,39 @@ class Quaternion:
 def _horner(coeffs, x) -> Quaternion:
     """sum(coeffs[i] * x**i) for a non-empty coefficient sequence.
 
-    With c_i = C_i / e_i, x = N / d and L = lcm(e_i), the accumulator
-    after k steps is A_k / (L * d**k): A_0 = C_n * (L / e_n) and
-    A_k = A_(k-1) * N + C_(n-k) * (L / e_(n-k)) * d**k, the accumulator
-    on the left.  Only the final value is reduced, by one gcd, so it is
-    the canonical payload the operators reach step by step.
+    With c_i = C_i / e_i, the coefficients go over L = lcm(e_i) as
+    numerators C_i * (L / e_i), and ``_horner_ints`` runs the loop on
+    them.  Only the final value is
+    reduced, by one gcd, so it is the canonical payload the operators
+    reach step by step.
+    """
+    den = lcm(*[c._den for c in coeffs])
+    numerators = []
+    for c in coeffs:
+        if c._den == den:
+            numerators.append(c._n)
+        else:
+            s = den // c._den
+            n0, n1, n2, n3 = c._n
+            numerators.append((n0 * s, n1 * s, n2 * s, n3 * s))
+    acc, scale = _horner_ints(numerators, x)
+    return _trusted(*acc, den * scale)
+
+
+def _horner_ints(numerators, x) -> tuple:
+    """(A, d**n) with sum(P_i * x**i) = A / (e * d**n), for int numerator
+    4-tuples P_0..P_n over one common denominator e and x = X / d.
+
+    Horner's rule on the ints: A_0 = P_n and
+    A_k = A_(k-1) * X + P_(n-k) * d**k, the accumulator on the left.  No
+    gcd is taken; the caller makes the value canonical once.
     """
     x0, x1, x2, x3 = x._n
     d = x._den
-    top = coeffs[-1]
-    den = lcm(*[c._den for c in coeffs])
-    s = den // top._den
-    a0, a1, a2, a3 = (v * s for v in top._n)
-    for c in reversed(coeffs[:-1]):
-        den *= d
-        s = den // c._den
-        n0, n1, n2, n3 = c._n
+    a0, a1, a2, a3 = numerators[-1]
+    s = 1
+    for n0, n1, n2, n3 in reversed(numerators[:-1]):
+        s *= d
         # Quaternion.__mul__'s product formula, inlined: a shared helper
         # would cost a call per product there.
         a0, a1, a2, a3 = (
@@ -215,7 +234,7 @@ def _horner(coeffs, x) -> Quaternion:
             a0 * x2 - a1 * x3 + a2 * x0 + a3 * x1 + n2 * s,
             a0 * x3 + a1 * x2 - a2 * x1 + a3 * x0 + n3 * s,
         )
-    return _trusted(a0, a1, a2, a3, den)
+    return (a0, a1, a2, a3), s
 
 
 ZERO = _raw((0, 0, 0, 0), 1)

@@ -1,5 +1,8 @@
+import atexit
 import os
+import shutil
 import sys
+import tempfile
 import warnings
 
 sys.path.insert(0, os.path.dirname(__file__))
@@ -17,3 +20,16 @@ with warnings.catch_warnings():
         import libcst  # noqa: F401
     except ImportError:
         pass
+
+# The property tests pass database=None, which keeps examples out of
+# storage, but from collection on Hypothesis also caches the constants it
+# reads from local modules; keep that cache in a directory of its own,
+# removed when the run exits.
+try:
+    from hypothesis import configuration
+except ImportError:
+    pass
+else:
+    _HOME = tempfile.mkdtemp(prefix="hypothesis-")
+    configuration.set_hypothesis_home_dir(_HOME)
+    atexit.register(shutil.rmtree, _HOME, ignore_errors=True)

@@ -183,3 +183,15 @@ def reference_construct(roots, exact_degree=False) -> ConstructionTrace:
         steps.append(ConstructionStep(index, h, BRANCH_CONJUGATE, shifted))
         poly = Polynomial.x_minus(ring, shifted) * poly
     return ConstructionTrace(ring, tuple(steps), poly)
+
+
+def reference_constant_term(ring, coefficients, x):
+    """-(x^n + sum_i a_i x^i) for coefficients (a_1, ..., a_(n-1)), from one
+    power ladder with one normalised product and difference per term: the
+    constant term the package used before it ran the ring's Horner
+    kernel, kept as the reference that kernel must reproduce."""
+    powers = ring.powers(x, len(coefficients) + 1)
+    a0 = -powers[-1]
+    for c, power in zip(coefficients, powers[1:]):
+        a0 = a0 - c * power
+    return a0

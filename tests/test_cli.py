@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from ringroots import Polynomial, cli
+from ringroots import Polynomial, QuaternionRing, cli
 from ringroots.cli import main
 from ringroots.scalars import MAX_MODULUS
 
@@ -208,6 +208,62 @@ def test_verify_degree_over_the_limit_exits_65(monkeypatch, capsys):
     code, out, _ = run_cli(monkeypatch, capsys, ["verify"], doc)
     assert code in (0, 1)
     assert len(json.loads(out)["residuals"]) == 2
+
+
+def test_verify_rejects_a_long_polynomial_after_decoding_its_top_coefficient(monkeypatch, capsys):
+    # 100,000 coefficients with nonzero top entries: the limit is decided
+    # at the first nonzero entry above MAX_DEGREE, from the top down.
+    decoded = []
+    element_from_json = QuaternionRing.element_from_json
+
+    def spy(self, obj):
+        decoded.append(obj)
+        return element_from_json(self, obj)
+
+    monkeypatch.setattr(QuaternionRing, "element_from_json", spy)
+    doc = {"polynomial": {"ring": QUAT_RING, "coefficients": [["1", "2", "3", "4"]] * 100_000},
+           "elements": [["0", "1", "0", "0"]]}
+    code, out, err = run_cli(monkeypatch, capsys, ["verify"], doc)
+    assert code == 65
+    assert out == ""
+    assert "degree 99999" in err and "MAX_DEGREE" in err and "Traceback" not in err
+    assert len(decoded) == 1
+
+
+def test_verify_accepts_trailing_zeros_above_the_limit(monkeypatch, capsys):
+    # 66 entries, the last zero: degree 64, within MAX_DEGREE; x^64 - 1
+    # kills 1 and -1.
+    coefficients = ([["-1", "0", "0", "0"]] + [["0", "0", "0", "0"]] * 63
+                    + [["1", "0", "0", "0"], ["0", "0", "0", "0"]])
+    doc = {"polynomial": {"ring": QUAT_RING, "coefficients": coefficients},
+           "elements": [["1", "0", "0", "0"], ["-1", "0", "0", "0"]]}
+    code, out, _ = run_cli(monkeypatch, capsys, ["verify"], doc)
+    assert code == 0
+    assert json.loads(out)["all_zero"] is True
+
+
+def test_construct_over_max_roots_exits_65(monkeypatch, capsys):
+    # one small root repeated: every step after the first takes the
+    # already-root (or pad) branch, so 64 roots are quick.
+    root = ["1", "1/2", "0", "-1"]
+    doc = {"ring": QUAT_RING, "elements": [root] * (cli.MAX_ROOTS + 1)}
+    code, out, err = run_cli(monkeypatch, capsys, ["construct"], doc)
+    assert code == 65
+    assert out == ""
+    assert "MAX_ROOTS" in err and "Traceback" not in err
+
+    doc["elements"] = [root] * cli.MAX_ROOTS
+    code, out, _ = run_cli(monkeypatch, capsys, ["construct"], doc)
+    assert code == 0
+    assert len(json.loads(out)["polynomial"]["coefficients"]) == 2
+    # the largest polynomial construct emits is one verify accepts
+    code, out, _ = run_cli(monkeypatch, capsys, ["construct", "--exact-degree"], doc)
+    assert code == 0
+    polynomial = json.loads(out)["polynomial"]
+    assert len(polynomial["coefficients"]) == cli.MAX_ROOTS + 1
+    code, out, _ = run_cli(monkeypatch, capsys, ["verify"],
+                           {"polynomial": polynomial, "elements": [root]})
+    assert code == 0
 
 
 def test_verify_ring_mismatch_exits_65(monkeypatch, capsys):

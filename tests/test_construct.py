@@ -2,8 +2,11 @@
 
 import itertools
 import random
+from fractions import Fraction
 
+import hypothesis
 import pytest
+from hypothesis import strategies as st
 
 from ringroots import (
     BRANCH_ALREADY_ROOT,
@@ -243,3 +246,42 @@ def test_construction_matches_the_convolution_loop(ring):
             branches.update(step.branch for step in trace.steps)
     expected = {BRANCH_CONJUGATE, BRANCH_ALREADY_ROOT, BRANCH_PAD_WITH_X}
     assert branches == (expected if ring == HH else expected | {BRANCH_FAILED})
+
+
+BIG = 10**39 + 7  # 40 digits
+SMALL = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 6, 7, 11, 13]))
+LARGE = st.builds(Fraction, st.integers(-(10**40), 10**40), st.sampled_from([1, 3, BIG]))
+
+
+@st.composite
+def quaternion_roots(draw):
+    """1..10 roots: new ones with small components over mixed
+    denominators, at most one with 40-digit components (two would take
+    the conjugated roots past the int/str digit limit of ``to_json``),
+    and copies of an earlier root or members of its class (same real
+    part, imaginary components permuted and signed)."""
+    roots = []
+    large_at = draw(st.integers(-1, 9))
+    for i in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(("new", "repeat", "same_class"))) if roots else "new"
+        if kind == "new":
+            parts = LARGE if i == large_at else SMALL
+            roots.append(draw(st.builds(Quaternion, parts, parts, parts, parts)))
+            continue
+        q = draw(st.sampled_from(roots))
+        if kind == "same_class":
+            imaginary = draw(st.permutations([q.b, q.c, q.d]))
+            signs = draw(st.lists(st.sampled_from((1, -1)), min_size=3, max_size=3))
+            q = Quaternion(q.a, *(s * v for s, v in zip(signs, imaginary)))
+        roots.append(q)
+    return roots
+
+
+@hypothesis.settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@hypothesis.given(quaternion_roots())
+def test_quaternion_construction_matches_the_convolution_loop(roots):
+    # The construction over H keeps P as int numerators over one
+    # denominator; the reference multiplies Quaternion polynomials.
+    for exact_degree in (False, True):
+        trace = construct_with_roots(roots, exact_degree=exact_degree)
+        assert trace.to_json() == reference_construct(roots, exact_degree).to_json()

@@ -2,9 +2,6 @@
 int Horner kernels, against the literal operator loop, payload for
 payload."""
 
-import atexit
-import shutil
-import tempfile
 from fractions import Fraction
 
 import pytest
@@ -15,15 +12,6 @@ from helpers import F2, F3, F7, HH, QQ, reference_evaluate
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
-configuration = pytest.importorskip("hypothesis.configuration")
-
-
-# database=None keeps examples out of storage, but from collection on
-# Hypothesis also caches the constants it reads from local modules; keep
-# that cache in a directory of its own, removed when the run exits.
-_HOME = tempfile.mkdtemp(prefix="hypothesis-")
-configuration.set_hypothesis_home_dir(_HOME)
-atexit.register(shutil.rmtree, _HOME, ignore_errors=True)
 
 
 BIG = 10**39 + 7  # 40 digits

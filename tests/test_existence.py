@@ -10,6 +10,7 @@ from ringroots import (
     MatrixRing,
     MismatchError,
     Polynomial,
+    PrimeField,
     constant_term,
     degree_n_existence,
     invertible_difference_construct,
@@ -18,7 +19,7 @@ from ringroots import (
     rref,
     verify_roots,
 )
-from ringroots.existence import MAX_DEGREE
+from ringroots.existence import MAX_DEGREE, _constant_term
 
 from helpers import (
     F2,
@@ -32,9 +33,11 @@ from helpers import (
     QQ,
     involution_pair,
     nilpotent_shift_pair,
+    rand_element,
     rand_matrix,
     rank_gap_pair,
     rank_gap_cubic_coefficient,
+    reference_constant_term,
     reference_rref,
     zero_column_pair,
 )
@@ -145,6 +148,15 @@ def test_constant_term_examples():
     assert constant_term((M2Q.zero,), n1, n2, 2) == M2Q.zero
     g1, g2 = rank_gap_pair()
     assert constant_term((rank_gap_cubic_coefficient(), M2Q.zero), g1, g2, 3) == M2Q.zero
+
+
+@pytest.mark.parametrize("ring", [M2Q, MatrixRing(3, PrimeField(5)), HH], ids=repr)
+def test_constant_term_matches_the_ladder_sum(ring):
+    rng = random.Random(12)
+    for n in range(1, 9):
+        coefficients = [rand_element(rng, ring) for _ in range(n - 1)]
+        x = rand_element(rng, ring)
+        assert _constant_term(ring, coefficients, x) == reference_constant_term(ring, coefficients, x)
 
 
 def test_constant_term_rejects_non_solutions():
