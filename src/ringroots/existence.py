@@ -10,12 +10,14 @@ gives the rank (pivots left of the bar), the augmented rank (all
 pivots; a solution exists iff they agree, by Kronecker-Capelli), the
 particular solution with free variables zero, and the dimension of the
 solution space; solving for all a_i jointly, rather than pinning some at
-zero first, keeps the criterion complete.  Over any ring with identity, an invertible power
-difference x1^j - x2^j yields a direct construction.  Both read their
-power differences off one ladder per root; the constant term
-a0 = -(x1^n + sum a_i x1^i) comes from the ring's Horner kernel at x1,
-and every returned polynomial is evaluated at both roots before it
-leaves.
+zero first, keeps the criterion complete.  The system is built as ints
+from one power ladder per root (``_difference_columns``), block i scaled
+by D^i, which moves no rank, pivot or free variable.  Over any ring with
+identity, an invertible power difference x1^j - x2^j yields a direct
+construction; over a matrix ring one elimination per j finds it, with no
+inverse formed.  The constant term a0 = -(x1^n + sum a_i x1^i) comes
+from the ring's Horner kernel at x1, and every returned polynomial is
+evaluated at both roots before it leaves.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from dataclasses import dataclass
 
 from .construct import _assert_annihilates
 from .errors import DomainError, MismatchError
-from .linalg import rank, solve_stacked  # noqa: F401  (bench/tests reads existence.rank)
-from .matrices import Matrix
+from .linalg import _solve_blocks, rank  # noqa: F401  (bench/tests reads existence.rank)
+from .matrices import Matrix, _power_rows
 from .polynomials import Polynomial
 from .rings import MatrixRing, Ring, infer_ring
 
@@ -112,10 +114,9 @@ def degree_n_existence(x1: Matrix, x2: Matrix, n: int) -> CriterionReport:
 def _criterion(x1: Matrix, x2: Matrix, n: int) -> CriterionReport:
     ring = _matrix_pair_ring(x1, x2)
     _check_degree(n)
-    powers1, powers2 = ring.powers(x1, n), ring.powers(x2, n)
-    outcome = solve_stacked(
-        [powers1[i] - powers2[i] for i in range(1, n)], powers2[n] - powers1[n]
-    )
+    ring.check(x2)
+    blocks, d = _difference_columns(x1, x2, n)
+    outcome = _solve_blocks(ring.field, blocks, [d ** (n - i) for i in range(1, n)])
     coefficients = a0 = None
     if outcome.consistent:
         coefficients = outcome.particular
@@ -133,6 +134,21 @@ def _criterion(x1: Matrix, x2: Matrix, n: int) -> CriterionReport:
     )
 
 
+def _difference_columns(x1: Matrix, x2: Matrix, n: int) -> tuple:
+    """(blocks, D): blocks[i - 1] holds the columns of the int matrix
+    E_i = N1^i d2^i - N2^i d1^i = D^i (x1^i - x2^i) for i < n, and
+    blocks[n - 1] those of -E_n, where x1 = N1/d1, x2 = N2/d2, D = d1*d2
+    and N^i comes from ``matrices._power_rows``.  Over F_p, D = 1."""
+    d1, d2 = x1._den, x2._den
+    ladder1, ladder2 = _power_rows(x1, n), _power_rows(x2, n)
+    blocks = []
+    for i in range(1, n + 1):
+        s1, s2 = (d2**i, d1**i) if i < n else (-(d2**i), -(d1**i))
+        blocks.append([[a * s1 - b * s2 for a, b in zip(c1, c2)]
+                       for c1, c2 in zip(zip(*ladder1[i - 1]), zip(*ladder2[i - 1]))])
+    return blocks, d1 * d2
+
+
 def invertible_difference_construct(x1, x2, n: int) -> Polynomial | None:
     """Direct degree-n construction when some x1^j - x2^j is invertible.
 
@@ -147,19 +163,35 @@ def invertible_difference_construct(x1, x2, n: int) -> Polynomial | None:
     if x1 == x2:
         raise DomainError("the two prescribed roots must be distinct")
     _check_degree(n)
+    ring.check(x2)
+    found = _invertible_difference(ring, x1, x2, n)
+    if found is None:
+        return None
+    j, a_j = found
+    coefficients = [ring.zero] * (n - 1)
+    coefficients[j - 1] = a_j
+    a0 = _constant_term(ring, coefficients, x1)
+    return _assert_annihilates(_monic_polynomial(ring, coefficients, a0), (x1, x2))
 
+
+def _invertible_difference(ring: Ring, x1, x2, n: int):
+    """(j, a_j) for the least j with x1^j - x2^j invertible, or None."""
+    if isinstance(ring, MatrixRing):
+        # a_j (x1^j - x2^j) = x2^n - x1^n is E_j^T (D^(n-j) a_j^T) = -E_n^T:
+        # k pivots left of the bar mean x1^j - x2^j is invertible, and then
+        # the one solution is a_j, without an inverse or a product.
+        blocks, d = _difference_columns(x1, x2, n)
+        for j in range(1, n):
+            outcome = _solve_blocks(ring.field, (blocks[j - 1], blocks[-1]), (d ** (n - j),))
+            if outcome.rank == ring.k:
+                return j, outcome.particular[0]
+        return None
     powers1, powers2 = ring.powers(x1, n), ring.powers(x2, n)
     for j in range(1, n):
         inverse = ring.invert(powers1[j] - powers2[j])
         if inverse is not None:
-            break
-    else:
-        return None
-
-    coefficients = [ring.zero] * (n - 1)
-    coefficients[j - 1] = (powers2[n] - powers1[n]) * inverse
-    a0 = _constant_term(ring, coefficients, x1)
-    return _assert_annihilates(_monic_polynomial(ring, coefficients, a0), (x1, x2))
+            return j, (powers2[n] - powers1[n]) * inverse
+    return None
 
 
 def constant_term(coefficients, x1, x2, n: int):

@@ -12,10 +12,11 @@ particular solution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import lcm
 
 from .errors import MismatchError
-from .matrices import Matrix, _trusted
+from .matrices import Matrix, _raw, _trusted
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,9 @@ def solve_stacked(blocks, rhs: Matrix) -> StackedSolveOutcome:
     Row i of the equation constrains only the i-th rows of the X_j, so
     the whole thing is k independent systems sharing the coefficient
     matrix C = [A_1^T | ... | A_m^T]: one multi-column system C*Y = B^T,
-    solved by one RREF of [C | B^T].  Free variables are set to zero.
+    solved by one RREF of [C | B^T], whose int rows are the columns of
+    the blocks' numerators over the lcm of their dens.  Free variables
+    are set to zero.
     """
     blocks = tuple(blocks)
     if not blocks:
@@ -115,21 +118,35 @@ def solve_stacked(blocks, rhs: Matrix) -> StackedSolveOutcome:
             raise MismatchError("all blocks must be square, same size and field as rhs")
     if not rhs.is_square():
         raise MismatchError("solve_stacked expects a square right-hand side")
-    coeff = blocks[0].transpose()
-    for blk in blocks[1:]:
-        coeff = coeff.augment(blk.transpose())
-    rr = rref(coeff.augment(rhs.transpose()))
-    split = coeff.ncols
+    den = lcm(*(m._den for m in (*blocks, rhs)))
+    scaled = [(m, den // m._den) for m in (*blocks, rhs)]
+    columns = [[[a * s for a in col] for col in zip(*m._rows)] for m, s in scaled]
+    return _solve_blocks(rhs.field, columns, (1,) * len(blocks))
+
+
+def _solve_blocks(field, blocks, dens) -> StackedSolveOutcome:
+    """Solve C*Y = R for C = [C_1 | ... | C_m], with blocks = (C_1, ...,
+    C_m, R) each given as its k int rows, by one `rref` of [C | R]; free
+    variables are zero.  Block Y_j of the solution comes back as the
+    matrix Y_j^T / dens[j]: a caller that scaled C_j by c_j and R by c,
+    which moves no rank, pivot or free variable, passes c / c_j.
+    """
+    # Each row mod p over F_p, where rref needs residues; over Q divided
+    # by its content, which changes no solution.
+    rows = tuple(tuple(field.reduce_row(list(chain.from_iterable(parts))))
+                 for parts in zip(*blocks))
+    k = len(rows)
+    rr = rref(_raw(field, rows, 1))
+    split = len(rows[0]) - k
     rk = sum(c < split for c in rr.pivot_columns)
     dim = k * (split - rk)
-    if rk < rr.rank:  # Kronecker-Capelli: a pivot in the B^T columns
+    if rk < rr.rank:  # Kronecker-Capelli: a pivot in the R columns
         return StackedSolveOutcome(False, None, dim, rk, rr.rank)
-    # Y is (k*m) x k over the RREF's den, zero in the free rows; rows
-    # j*k..(j+1)*k hold X_j^T.
-    rows, den = rr.rref._rows, rr.rref._den
+    # Y is zero in the free rows and over the RREF's den.
+    out, den = rr.rref._rows, rr.rref._den
     y = [(0,) * k] * split
     for row_idx, col in enumerate(rr.pivot_columns):
-        y[col] = rows[row_idx][split:]
-    parts = tuple(_trusted(rhs.field, tuple(y[j * k : (j + 1) * k]), den).transpose()
-                  for j in range(len(blocks)))
+        y[col] = out[row_idx][split:]
+    parts = tuple(_trusted(field, tuple(zip(*y[j * k : (j + 1) * k])), den * d)
+                  for j, d in enumerate(dens))
     return StackedSolveOutcome(True, parts, dim, rk, rr.rank)

@@ -12,14 +12,16 @@ built only by the ``entries`` view and JSON output.
 Polynomial evaluation runs ``_horner``: one Horner loop on the int rows
 over a common denominator, for both fields, with one ``normalize`` of
 the final value instead of one per step (see ``rings.Ring._horner``);
-over F_p the rows are also reduced mod p every few steps.
+over F_p the rows are also reduced mod p every few steps.  Powers come
+from the int ladder beside it, ``_power_rows``, which the existence
+criteria read directly and ``MatrixRing.powers`` makes canonical.
 
 Entries from outside are validated once, at the boundary:
 ``Matrix(...)``, ``from_rows`` and ``from_json`` check every entry
 against the field, and ring descriptors check membership of whole
 matrices.  Shapes are checked on every operation; a mismatch raises
 instead of broadcasting.  Non-square shapes appear only inside the
-linear-algebra routines (augmented systems).
+linear-algebra routines (the stacked systems that ``rref`` solves).
 """
 
 from __future__ import annotations
@@ -120,15 +122,6 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return _raw(self.field, tuple(zip(*self._rows)), self._den)
 
-    def augment(self, other: "Matrix") -> "Matrix":
-        """Columns of `other` appended to the right of `self`."""
-        if self.field != other.field or self.nrows != other.nrows:
-            raise MismatchError("augmenting needs the same field and row count")
-        rows_a, rows_b, den = _aligned(self, other)
-        # Canonical as it stands: each prime power of den comes whole from
-        # one side's den, whose own numerators are not all divisible by it.
-        return _raw(self.field, tuple(map(add, rows_a, rows_b)), den)
-
     def __bool__(self):
         return any(map(any, self._rows))
 
@@ -185,6 +178,23 @@ def _trusted(field, rows, den: int) -> Matrix:
     """A matrix from int rows over den > 0 that the field's
     ``normalize`` brings into canonical form."""
     return _raw(field, *field.normalize(rows, den))
+
+
+def _power_rows(x: Matrix, n: int) -> list:
+    """[N^1, ..., N^n] as int row tuples, for x = N / d a square matrix:
+    x^i = N^i / d^i.  Over Q the powers are not normalised, so N^i may
+    share a factor with d^i that the canonical x^i divides out; over F_p
+    every power is reduced mod p."""
+    cols = tuple(zip(*x._rows))
+    p = x.field.p if x.field.kind == "prime" else 0
+    ladder = [x._rows]
+    while len(ladder) < n:
+        if p:
+            power = [tuple([sum(map(mul, row, col)) % p for col in cols]) for row in ladder[-1]]
+        else:
+            power = [tuple([sum(map(mul, row, col)) for col in cols]) for row in ladder[-1]]
+        ladder.append(tuple(power))
+    return ladder[:n]
 
 
 def _horner(coeffs, x: Matrix) -> Matrix:

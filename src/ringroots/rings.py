@@ -12,7 +12,7 @@ contain the rationals.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from . import linalg, matrices, quaternions
 from .errors import DomainError, MismatchError, ParseError
@@ -144,6 +144,14 @@ class MatrixRing(Ring):
     def one(self):
         return Matrix.identity(self.field, self.k)
 
+    def powers(self, x, n: int) -> list:
+        """[x^0, x^1, ..., x^n] from the int ladder of ``matrices._power_rows``,
+        one canonical ``Matrix`` per power from x^2 on."""
+        field, d = self.field, self.check(x)._den
+        ladder = matrices._power_rows(x, n)
+        return [self.one, x, *(matrices._trusted(field, rows, d**i)
+                               for i, rows in enumerate(ladder[1:], 2))][: n + 1]
+
     def contains(self, x) -> bool:
         return (
             isinstance(x, Matrix)
@@ -178,6 +186,13 @@ class MatrixRing(Ring):
 
     def __repr__(self):
         return f"MatrixRing({self.k}, {self.field!r})"
+
+
+@lru_cache(maxsize=32)
+def _matrix_ring(k: int, field) -> MatrixRing:
+    """One MatrixRing per (k, field), so that its identities are built once
+    rather than on every criterion call."""
+    return MatrixRing(k, field)
 
 
 class QuaternionRing(Ring):
@@ -228,7 +243,7 @@ def ring_from_json(obj) -> Ring:
         k = obj.get("k")
         if type(k) is not int or k < 1:  # bool is an int subclass; JSON true is not
             raise ParseError(f"matrix ring descriptor needs an integer 'k' >= 1: {obj!r}")
-        return MatrixRing(k, field_from_json(obj.get("field")))
+        return _matrix_ring(k, field_from_json(obj.get("field")))
     if kind == "quaternion":
         return QuaternionRing()
     raise ParseError(f"unknown ring kind {kind!r}")
@@ -245,5 +260,5 @@ def infer_ring(payload) -> Ring:
     if isinstance(payload, Matrix):
         if not payload.is_square():
             raise MismatchError("only square matrices are ring elements")
-        return MatrixRing(payload.nrows, payload.field)
+        return _matrix_ring(payload.nrows, payload.field)
     raise MismatchError(f"{payload!r} is not an element of any supported ring")

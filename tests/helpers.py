@@ -9,6 +9,7 @@ from ringroots import (
     BRANCH_PAD_WITH_X,
     ConstructionStep,
     ConstructionTrace,
+    CriterionReport,
     Matrix,
     MatrixRing,
     Polynomial,
@@ -17,8 +18,10 @@ from ringroots import (
     Quaternion,
     QuaternionRing,
     RationalField,
+    Ring,
     ScalarRing,
     infer_ring,
+    rref,
 )
 
 QQ = RationalField()
@@ -195,3 +198,71 @@ def reference_constant_term(ring, coefficients, x):
     for c, power in zip(coefficients, powers[1:]):
         a0 = a0 - c * power
     return a0
+
+
+def side_by_side(*matrices) -> Matrix:
+    """The matrices' columns side by side, built from their entries rows."""
+    rows = zip(*(m.entries for m in matrices))
+    return Matrix(matrices[0].field, [sum(parts, ()) for parts in rows])
+
+
+def _reference_stacked_solve(blocks, rhs):
+    """(consistent, particular, nullspace dim, rank, augmented rank) of
+    sum_j X_j * A_j = B from one RREF of [A_1^T | ... | A_m^T | B^T], the
+    system built from field elements, the particular solution read back as
+    field elements with free variables zero: the solve the package ran on
+    transposed and augmented `Matrix` objects before it built the system
+    from int payloads, kept as the reference that route must reproduce."""
+    field, k = rhs.field, rhs.nrows
+    rr = rref(side_by_side(*(b.transpose() for b in (*blocks, rhs))))
+    split = k * len(blocks)
+    rk = sum(c < split for c in rr.pivot_columns)
+    dim = k * (split - rk)
+    if rk < rr.rank:
+        return False, None, dim, rk, rr.rank
+    rows = rr.rref.entries
+    y = [(field.zero,) * k] * split
+    for row_idx, col in enumerate(rr.pivot_columns):
+        y[col] = rows[row_idx][split:]
+    particular = tuple(Matrix(field, y[j * k : (j + 1) * k]).transpose()
+                       for j in range(len(blocks)))
+    return True, particular, dim, rk, rr.rank
+
+
+def _reference_invert(ring, a):
+    if isinstance(ring, MatrixRing):
+        solved = _reference_stacked_solve((a,), ring.one)
+        return solved[1][0] if solved[3] == ring.k else None
+    return ring.invert(a)
+
+
+def reference_criterion(x1, x2, n) -> CriterionReport:
+    """The two-root criterion from operator ladders (`Ring.powers`),
+    `Matrix` power differences and the element-wise stacked solve: the
+    route the package took before it built the integer system from the
+    ladders' numerators, kept as the reference it must reproduce."""
+    ring = MatrixRing(x1.nrows, x1.field)
+    p1, p2 = Ring.powers(ring, x1, n), Ring.powers(ring, x2, n)
+    consistent, particular, dim, rk, rank_aug = _reference_stacked_solve(
+        [p1[i] - p2[i] for i in range(1, n)], p2[n] - p1[n])
+    a0 = reference_constant_term(ring, particular, x1) if consistent else None
+    return CriterionReport(n, rk, rank_aug, consistent, particular, a0, dim, ring)
+
+
+def reference_direct(x1, x2, n):
+    """The direct construction as a loop over j of inverses of
+    x1^j - x2^j and one product (x2^n - x1^n) * (x1^j - x2^j)^-1, the
+    route the package took before it solved for a_j by one elimination
+    per j, kept as the reference it must reproduce."""
+    ring = infer_ring(x1)
+    p1, p2 = Ring.powers(ring, x1, n), Ring.powers(ring, x2, n)
+    for j in range(1, n):
+        inverse = _reference_invert(ring, p1[j] - p2[j])
+        if inverse is not None:
+            break
+    else:
+        return None
+    coefficients = [ring.zero] * (n - 1)
+    coefficients[j - 1] = (p2[n] - p1[n]) * inverse
+    a0 = reference_constant_term(ring, coefficients, x1)
+    return Polynomial(ring, [a0, *coefficients, ring.one])

@@ -1,6 +1,8 @@
 """Rank criteria for two prescribed roots and the direct constructors."""
 
+import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -38,7 +40,10 @@ from helpers import (
     rank_gap_pair,
     rank_gap_cubic_coefficient,
     reference_constant_term,
+    reference_criterion,
+    reference_direct,
     reference_rref,
+    side_by_side,
     zero_column_pair,
 )
 
@@ -225,7 +230,7 @@ def test_transposed_column_formulation_agrees():
         ring = MatrixRing(x1.nrows, QQ)
         dt = (x1 - x2).transpose()
         rhs_t = ring.powers(x2.transpose(), 2)[2] - ring.powers(x1.transpose(), 2)[2]
-        assert report.exists == (rank(dt) == rank(dt.augment(rhs_t)))
+        assert report.exists == (rank(dt) == rank(side_by_side(dt, rhs_t)))
 
 
 def test_singular_difference_with_solution_has_positive_dimension():
@@ -239,7 +244,7 @@ def test_singular_difference_with_solution_has_positive_dimension():
         # rref([d | 1]) = E [d | 1] with E invertible, so the last row,
         # zero left of the bar as rank(d) < 2, is a left-kernel row E_r of d
         d = x1 - x2
-        last = rref(d.augment(Matrix.identity(QQ, 2))).rref.entries[-1]
+        last = rref(side_by_side(d, Matrix.identity(QQ, 2))).rref.entries[-1]
         assert not any(last[:2])
         bump = Matrix(QQ, [last[2:], (QQ.zero,) * 2])
         assert bump and not bump * d
@@ -302,6 +307,16 @@ def test_shape_and_degree_preconditions():
     x1, _ = nilpotent_shift_pair()
     with pytest.raises(MismatchError):
         quadratic_existence(x1, Matrix.identity(QQ, 3))
+    # a second root of another shape or field is rejected even where no
+    # polynomial exists, so that no referee would evaluate it
+    g1, _ = rank_gap_pair()
+    for other in (M3Q.element([[0, 0, 0], [0, 1, 0], [0, 0, 5]]),
+                  Matrix.from_rows(F7, [[0, 0], [0, 1]])):
+        for call in (lambda: quadratic_existence(g1, other),
+                     lambda: degree_n_existence(other, g1, 3),
+                     lambda: invertible_difference_construct(g1, other, 3)):
+            with pytest.raises(MismatchError):
+                call()
     with pytest.raises(DomainError):
         degree_n_existence(*nilpotent_shift_pair(), 1)
     with pytest.raises(MismatchError):
@@ -347,10 +362,8 @@ def _reference_ranks(x1, x2, n):
     its own element-wise elimination."""
     ring = MatrixRing(x1.nrows, x1.field)
     p1, p2 = ring.powers(x1, n), ring.powers(x2, n)
-    system = (x1 - x2).transpose()
-    for i in range(2, n):
-        system = system.augment((p1[i] - p2[i]).transpose())
-    augmented = system.augment((p2[n] - p1[n]).transpose())
+    system = side_by_side(*((p1[i] - p2[i]).transpose() for i in range(1, n)))
+    augmented = side_by_side(system, (p2[n] - p1[n]).transpose())
     return reference_rref(system)[1], reference_rref(augmented)[1]
 
 
@@ -383,3 +396,66 @@ def test_reported_ranks_match_independent_eliminations(field):
         assert report.solution_space_dim == k * (k * (n - 1) - rank_sys)
         verdicts.add(report.exists)
     assert verdicts == {True, False}
+
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+BIG = 10**39 + 7  # 40 digits
+PRIMES = (2, 3, 65521, 3317044064679887385961813)
+
+# Small integers, mixed small denominators, and 40-digit numerators over
+# 40-digit denominators.
+RATIONALS = st.one_of(
+    st.builds(Fraction, st.integers(-9, 9)),
+    st.builds(Fraction, st.integers(-30, 30), st.sampled_from([2, 3, 6, 7, 11])),
+    st.builds(Fraction, st.integers(-(10**40), 10**40), st.sampled_from([1, 3, BIG])),
+)
+
+
+@st.composite
+def root_pairs(draw):
+    """(x1, x2, n), k in 1..4 and n in 2..8, over Q or F_p.  Each root is
+    generic, a multiple of J (all ones; J/2 is idempotent at k = 2, and its
+    power numerators carry content the canonical form divides out) or
+    strictly upper triangular (nilpotent); x2 may also be x1 + u v^T."""
+    field = draw(st.one_of(st.just(QQ), st.sampled_from([PrimeField(p) for p in PRIMES])))
+    scalars = RATIONALS if field is QQ else st.integers(0, field.p - 1)
+    k, n = draw(st.integers(1, 4)), draw(st.integers(2, 8))
+
+    def grid(nrows, ncols):
+        return draw(st.lists(st.lists(scalars, min_size=ncols, max_size=ncols),
+                             min_size=nrows, max_size=nrows))
+
+    def root():
+        shape = draw(st.sampled_from(["generic", "ones", "nilpotent"]))
+        if shape == "generic":
+            return Matrix.from_rows(field, grid(k, k))
+        if shape == "ones":
+            c = Fraction(1, 2) if field is QQ and draw(st.booleans()) else draw(scalars)
+            return Matrix.from_rows(field, [[c] * k for _ in range(k)])
+        g = grid(k, k)
+        return Matrix.from_rows(field, [[g[i][j] if j > i else 0 for j in range(k)]
+                                        for i in range(k)])
+
+    x1 = root()
+    if draw(st.booleans()):
+        x2 = x1 + Matrix.from_rows(field, grid(k, 1)) * Matrix.from_rows(field, grid(1, k))
+    else:
+        x2 = root()
+    hypothesis.assume(x1 != x2)
+    return x1, x2, n
+
+
+def _dumps(obj):
+    return json.dumps(None if obj is None else obj.to_json())
+
+
+@hypothesis.settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@hypothesis.given(root_pairs())
+def test_criterion_and_direct_match_the_operator_route(case):
+    # The integer system from the ladders' numerators must give the very
+    # report and polynomial of the Matrix-operator route.
+    x1, x2, n = case
+    assert _dumps(degree_n_existence(x1, x2, n)) == _dumps(reference_criterion(x1, x2, n))
+    assert _dumps(invertible_difference_construct(x1, x2, n)) == _dumps(reference_direct(x1, x2, n))

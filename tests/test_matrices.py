@@ -17,7 +17,17 @@ from ringroots import (
     rref,
 )
 
-from helpers import F2, F3, F7, M2Q, QQ, nilpotent_shift_pair, rand_matrix, rank_gap_pair
+from helpers import (
+    F2,
+    F3,
+    F7,
+    M2Q,
+    QQ,
+    nilpotent_shift_pair,
+    rand_matrix,
+    rank_gap_pair,
+    side_by_side,
+)
 
 
 def test_nilpotent_square_is_zero():
@@ -62,15 +72,14 @@ def test_shape_and_field_mismatches_are_hard_errors():
         Matrix.from_rows(QQ, [[1, 2], [3]])
 
 
-def test_transpose_and_augment():
+def test_transpose():
     a = Matrix.from_rows(QQ, [[1, 2], [3, 4]])
     b = Matrix.from_rows(QQ, [[5, 6], [7, 8]])
     assert a.transpose().transpose() == a
     assert a.transpose().entries[0] == a.entries[0][:1] + a.entries[1][:1]
-    assert a.augment(b).ncols == 4
-    assert a.augment(b).transpose().entries[3] == b.transpose().entries[1]
-    with pytest.raises(MismatchError):
-        a.augment(Matrix.from_rows(QQ, [[1, 2]]))
+    assert side_by_side(a, b).transpose().entries[3] == b.transpose().entries[1]
+    wide = Matrix.from_rows(QQ, [[1, 2, 3]])
+    assert wide.transpose().entries == ((1,), (2,), (3,))
 
 
 def test_rectangular_product_shapes():
@@ -125,7 +134,7 @@ def test_prime_field_products_match_elementwise_reference():
                 product = a * b
                 assert [list(r) for r in product.entries] == _literal_product(a, b)
                 internal = (product, a + c, a - c, -a, a.transpose(), rref(a).rref,
-                            a.augment(c), Matrix.identity(field, k))
+                            side_by_side(a, c), Matrix.identity(field, k))
                 for m in internal:
                     _assert_valid(field, m)
                 if rows != inner:

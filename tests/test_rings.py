@@ -177,6 +177,19 @@ def test_infer_ring():
         infer_ring("7")
 
 
+def test_infer_ring_keeps_one_matrix_ring_per_shape_and_field():
+    # a ring and its cached identities are built once per (k, field)
+    a = Matrix.from_rows(PrimeField(3), [[1, 2], [0, 1]])
+    ring = infer_ring(a)
+    assert infer_ring(Matrix.from_rows(PrimeField(3), [[2, 2], [1, 0]])) is ring
+    assert ring_from_json(ring.to_json()) is ring
+    assert infer_ring(a).one is ring.one
+    other = infer_ring(Matrix.from_rows(PrimeField(5), [[1, 2], [0, 1]]))
+    assert other is not ring and other != ring
+    assert infer_ring(Matrix.from_rows(PrimeField(3), [[1]])) != ring
+    assert ring == MatrixRing(2, PrimeField(3)) and hash(ring) == hash(MatrixRing(2, PrimeField(3)))
+
+
 def test_matrix_ring_element_coercion():
     m = M2Q.element([["1/2", 0], [1, -1]])
     assert m.entries[0][0] == QQ.element("1/2")
