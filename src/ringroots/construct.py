@@ -11,10 +11,12 @@ matrix ring a nonzero singular h obstructs the recursion and the trace
 records where.
 
 Over the quaternions R is held as int numerator 4-tuples over one common
-denominator D, as `Matrix` holds its entries.  With the conjugated root
-s = t/c, the new numerators c*R_(j-1) - t*R_j over D*c are reduced by
-one gcd per step, and the coefficients become `Quaternion`s once, at
-the end.  The matrix and scalar rings fold on `Polynomial`s.
+denominator D, as `Matrix` holds its entries.  h comes from the
+quaternion int core on those numerators, and the conjugated root
+s = h*x_m*h**-1 from two int products.  With s = t/c, the new numerators
+c*R_(j-1) - t*R_j over D*c are reduced by one gcd per step, and the
+coefficients become `Quaternion`s once, at the end.  The matrix and
+scalar rings fold on `Polynomial`s.
 """
 
 from __future__ import annotations
@@ -141,17 +143,17 @@ def _fold_quaternions(ring: Ring, roots, exact_degree: bool) -> tuple:
     """(steps, result): the recursion over H with R held as int numerator
     4-tuples over one common denominator.
 
-    h = R(r) comes from ``quaternions._horner_ints`` and one gcd, and the
-    conjugated root s = h*r*h**-1 from the operators, so both are the
-    canonical values the `Polynomial` loop reaches.  The coefficients
-    become `Quaternion`s once, at the end.
+    h = R(r) comes from ``quaternions._value_ints`` and one gcd, and the
+    conjugated root s = h*r*h**-1 from ``_conjugated_root`` on the ints,
+    so both are the canonical values the `Polynomial` loop reaches.  The
+    coefficients become `Quaternion`s once, at the end.
     """
     first = roots[0]
     num, den = [tuple(-v for v in first._n), (first._den, 0, 0, 0)], first._den
     steps = []
     for index in range(1, len(roots)):
         root = ring.check(roots[index])
-        acc, scale = quaternions._horner_ints(num, root)
+        acc, scale = quaternions._value_ints(num, root)
         h = quaternions._trusted(*acc, den * scale)
         if not h:
             if exact_degree:
@@ -160,10 +162,33 @@ def _fold_quaternions(ring: Ring, roots, exact_degree: bool) -> tuple:
             else:
                 steps.append(ConstructionStep(index, h, BRANCH_ALREADY_ROOT))
             continue
-        shifted = h * root * h.inverse()
+        shifted = _conjugated_root(h, root)
         steps.append(ConstructionStep(index, h, BRANCH_CONJUGATE, shifted))
         num, den = _times_x_minus_numerators(shifted, num, den)
     return tuple(steps), Polynomial(ring, [quaternions._trusted(*q, den) for q in num])
+
+
+def _conjugated_root(h, r):
+    """h * r * h**-1 for quaternions h != 0 and r, reduced by one gcd.
+
+    With h = H / h_d and r = R / r_d, h**-1 = h_d * conj(H) / N(H), so
+    h_d cancels and the value is H * R * conj(H) / (r_d * N(H)): two
+    products on the ints, with no `Quaternion` in between."""
+    a, b, c, d = h._n
+    r0, r1, r2, r3 = r._n
+    # Quaternion.__mul__'s product H * R, inlined
+    u0 = a * r0 - b * r1 - c * r2 - d * r3
+    u1 = a * r1 + b * r0 + c * r3 - d * r2
+    u2 = a * r2 - b * r3 + c * r0 + d * r1
+    u3 = a * r3 + b * r2 - c * r1 + d * r0
+    # and U * conj(H), conj(H) = (a, -b, -c, -d)
+    return quaternions._trusted(
+        u0 * a + u1 * b + u2 * c + u3 * d,
+        u1 * a - u0 * b + u3 * c - u2 * d,
+        u2 * a - u0 * c + u1 * d - u3 * b,
+        u3 * a - u0 * d + u2 * b - u1 * c,
+        r._den * (a * a + b * b + c * c + d * d),
+    )
 
 
 def _times_x_minus_numerators(s, num: list, den: int) -> tuple:
@@ -192,9 +217,14 @@ def _times_x_minus_numerators(s, num: list, den: int) -> tuple:
 
 
 def verify_roots(p: Polynomial, roots) -> tuple:
-    """Evaluate p at each candidate root; all-zero means all are roots.
-    A candidate outside p's ring raises MismatchError."""
-    return tuple(p.evaluate(r) for r in roots)
+    """p's value at each candidate root; all-zero means all are roots.
+    A candidate outside p's ring raises MismatchError before anything is
+    evaluated.  The ring's kernel takes all the roots in one call."""
+    ring = p.ring
+    roots = [ring.check(r) for r in roots]
+    if p.is_zero():
+        return (ring.zero,) * len(roots)
+    return ring._values(p.coeffs, roots)
 
 
 def _assert_annihilates(poly: Polynomial, roots) -> Polynomial:

@@ -16,8 +16,8 @@ by D^i, which moves no rank, pivot or free variable.  Over any ring with
 identity, an invertible power difference x1^j - x2^j yields a direct
 construction; over a matrix ring one elimination per j finds it, with no
 inverse formed.  The constant term a0 = -(x1^n + sum a_i x1^i) comes
-from the ring's Horner kernel at x1, and every returned polynomial is
-evaluated at both roots before it leaves.
+from the ring's evaluation kernel at x1, and every returned polynomial
+is evaluated at both roots before it leaves.
 """
 
 from __future__ import annotations
@@ -216,5 +216,5 @@ def constant_term(coefficients, x1, x2, n: int):
 
 def _constant_term(ring: Ring, coefficients, x):
     """-(x^n + sum_i a_i x^i) for coefficients (a_1, ..., a_(n-1)): minus
-    the value at x of x^n + ... + a_1 x, by the ring's Horner kernel."""
-    return -ring._horner((ring.zero, *coefficients, ring.one), x)
+    the value at x of x^n + ... + a_1 x, by the ring's evaluation kernel."""
+    return -ring._values((ring.zero, *coefficients, ring.one), (x,))[0]

@@ -9,12 +9,13 @@ payloads, and ``==``, ``hash`` and ``bool`` work on the ints, as for
 descriptor supplies the rest (see ``scalars``).  Field elements are
 built only by the ``entries`` view and JSON output.
 
-Polynomial evaluation runs ``_horner``: one Horner loop on the int rows
-over a common denominator, for both fields, with one ``normalize`` of
-the final value instead of one per step (see ``rings.Ring._horner``);
-over F_p the rows are also reduced mod p every few steps.  Powers come
-from the int ladder beside it, ``_power_rows``, which the existence
-criteria read directly and ``MatrixRing.powers`` makes canonical.
+Polynomial evaluation runs ``_values``: for each point, one Horner loop
+on the int rows over a common denominator, for both fields, with one
+``normalize`` of the final value instead of one per step (see
+``rings.Ring._values``); over F_p the rows are also reduced mod p every
+few steps.  Powers come from the int ladder beside it, ``_power_rows``,
+which the existence criteria read directly and ``MatrixRing.powers``
+makes canonical.
 
 Entries from outside are validated once, at the boundary:
 ``Matrix(...)``, ``from_rows`` and ``from_json`` check every entry
@@ -197,35 +198,41 @@ def _power_rows(x: Matrix, n: int) -> list:
     return ladder[:n]
 
 
-def _horner(coeffs, x: Matrix) -> Matrix:
-    """sum(coeffs[i] * x**i) for a non-empty sequence of square matrices
-    of x's field and shape.
+def _values(coeffs, points) -> tuple:
+    """The values sum(coeffs[i] * x**i) at each x of `points`, for a
+    non-empty sequence of square matrices of the points' field and shape.
 
     With c_i = C_i / e_i, x = N / d and L = lcm(e_i), the accumulator
     after k steps is A_k / (L * d**k): A_0 = C_n * (L / e_n) and
     A_k = A_(k-1) N + C_(n-k) * (L / e_(n-k)) * d**k, the accumulator on
-    the left.  Over F_p every den is 1.  Only the final value goes
-    through the field's ``normalize``, so it is the canonical payload the
-    operators reach step by step.  Over F_p a step adds about
-    log2(k*p) bits to the entries, so every ``every`` steps the rows are
-    reduced mod p, keeping them under about 64 + log2(p) bits.
+    the left.  L and A_0 are formed once for all the points; the scale
+    L * d**k / e_(n-k) is taken per step, which measured faster than
+    rescaling every coefficient up front.  Over F_p every den is 1.  Only
+    each final value goes through the field's ``normalize``, so it is the
+    canonical payload the operators reach step by step.  Over F_p a step
+    adds about log2(k*p) bits to the entries, so every ``every`` steps the
+    rows are reduced mod p, keeping them under about 64 + log2(p) bits.
     """
-    field = x.field
-    cols = tuple(zip(*x._rows))
-    d = x._den
     top = coeffs[-1]
-    den = lcm(*[c._den for c in coeffs])
-    s = den // top._den
-    acc = [[v * s for v in row] for row in top._rows]
-    every = max(1, 64 // (len(cols) * field.p).bit_length()) if field.kind == "prime" else 0
-    for step, c in enumerate(reversed(coeffs[:-1]), 1):
-        den *= d
-        s = den // c._den
-        acc = [[sum(map(mul, row, col)) + v * s for col, v in zip(cols, c_row)]
-               for row, c_row in zip(acc, c._rows)]
-        if every and step % every == 0:
-            acc = [field.reduce_row(row) for row in acc]
-    return _trusted(field, tuple(map(tuple, acc)), den)
+    field = top.field
+    lead = lcm(*[c._den for c in coeffs])
+    s = lead // top._den
+    start = [[v * s for v in row] for row in top._rows]
+    every = max(1, 64 // (len(start) * field.p).bit_length()) if field.kind == "prime" else 0
+    values = []
+    for x in points:
+        cols = tuple(zip(*x._rows))
+        d = x._den
+        acc, den = start, lead
+        for step, c in enumerate(reversed(coeffs[:-1]), 1):
+            den *= d
+            s = den // c._den
+            acc = [[sum(map(mul, row, col)) + v * s for col, v in zip(cols, c_row)]
+                   for row, c_row in zip(acc, c._rows)]
+            if every and step % every == 0:
+                acc = [field.reduce_row(row) for row in acc]
+        values.append(_trusted(field, tuple(map(tuple, acc)), den))
+    return tuple(values)
 
 
 def _aligned(a: Matrix, b: Matrix) -> tuple:

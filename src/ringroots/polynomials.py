@@ -85,17 +85,16 @@ class Polynomial:
     def evaluate(self, point):
         """Right evaluation: sum of coefficient_i * point**i.
 
-        Horner's rule acc -> acc*point + c_i gives the same value because
-        the variable is central; the equality is exercised by tests
-        against the literal power sum.  The ring runs the loop: quaternion
-        and matrix rings on their payloads' ints over one common
-        denominator, normalising only the final value, and a scalar ring
-        on the field's operators.
+        The ring's kernel (`Ring._values`) computes it at this one point:
+        Horner's rule acc -> acc*point + c_i over a matrix or scalar ring,
+        and over the quaternions the remainder by the point's real
+        quadratic.  Both give the power sum's value because the variable is
+        central; tests check the equality against the literal power sum.
         """
         self.ring.check(point)
         if self.is_zero():
             return self.ring.zero
-        return self.ring._horner(self.coeffs, point)
+        return self.ring._values(self.coeffs, (point,))[0]
 
     def divmod_linear(self, a):
         """Right division by the monic linear factor x - a.

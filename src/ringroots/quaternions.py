@@ -14,11 +14,15 @@ read-only ``Fraction`` views, built on access.  Only the public
 constructor and ``from_json`` accept outside values, and they validate
 every component.
 
-Polynomial evaluation runs ``_horner``: one Horner loop on the ints over
-a common denominator, with one gcd for the final value instead of one
-per step (see ``rings.Ring._horner``).  Its int core ``_horner_ints``
-also evaluates the numerators the construction keeps over one
-denominator (see ``construct``).
+Polynomial evaluation runs ``_values`` (see ``rings.Ring._values``): it
+brings the coefficients over one common denominator once, then takes
+each point's value on the ints with one gcd at the end.  Every
+quaternion x is a root of its real quadratic t**2 - 2*Re(x)*t + N(x),
+which is central, so P(x) is the value at x of P's linear remainder by
+that quadratic; the int core ``_value_ints`` computes the remainder with
+real multiples of quaternions and one quaternion product, and also
+evaluates the numerators the construction keeps over one denominator
+(see ``construct``).
 """
 
 from __future__ import annotations
@@ -190,14 +194,14 @@ class Quaternion:
         return " + ".join(terms) if terms else "0"
 
 
-def _horner(coeffs, x) -> Quaternion:
-    """sum(coeffs[i] * x**i) for a non-empty coefficient sequence.
+def _values(coeffs, points) -> tuple:
+    """The values sum(coeffs[i] * x**i) at each x of `points`, for a
+    non-empty coefficient sequence.
 
-    With c_i = C_i / e_i, the coefficients go over L = lcm(e_i) as
-    numerators C_i * (L / e_i), and ``_horner_ints`` runs the loop on
-    them.  Only the final value is
-    reduced, by one gcd, so it is the canonical payload the operators
-    reach step by step.
+    With c_i = C_i / e_i, the coefficients go over L = lcm(e_i) once, as
+    numerators C_i * (L / e_i), and ``_value_ints`` evaluates them at
+    each point.  Each value is reduced by one gcd, so it is the canonical
+    payload the operators reach step by step.
     """
     den = lcm(*[c._den for c in coeffs])
     numerators = []
@@ -208,33 +212,54 @@ def _horner(coeffs, x) -> Quaternion:
             s = den // c._den
             n0, n1, n2, n3 = c._n
             numerators.append((n0 * s, n1 * s, n2 * s, n3 * s))
-    acc, scale = _horner_ints(numerators, x)
-    return _trusted(*acc, den * scale)
+    values = []
+    for x in points:
+        acc, scale = _value_ints(numerators, x)
+        values.append(_trusted(*acc, den * scale))
+    return tuple(values)
 
 
-def _horner_ints(numerators, x) -> tuple:
+def _value_ints(numerators, x) -> tuple:
     """(A, d**n) with sum(P_i * x**i) = A / (e * d**n), for int numerator
     4-tuples P_0..P_n over one common denominator e and x = X / d.
 
-    Horner's rule on the ints: A_0 = P_n and
-    A_k = A_(k-1) * X + P_(n-k) * d**k, the accumulator on the left.  No
-    gcd is taken; the caller makes the value canonical once.
+    x is a root of its real quadratic t**2 - (T/d)*t + M/d**2, with
+    T = 2*X_0 and M = X_0**2 + X_1**2 + X_2**2 + X_3**2.  That quadratic
+    is central, so the value is b_1*x + b_0 for the remainder
+    b_1*t + b_0 of P by it.  On the ints, with B_(n+1) = B_(n+2) = 0 and
+    B_k = d**(n-k) * b_k for k = n..1:
+    B_k = P_k * d**(n-k) + T*B_(k+1) - M*B_(k+2), real multiples only,
+    and A = B_1 * X + P_0 * d**n - M*B_2, one quaternion product with
+    B_1 on the left.  No gcd is taken; the caller makes the value
+    canonical once.
     """
+    if len(numerators) == 1:
+        return numerators[0], 1
     x0, x1, x2, x3 = x._n
     d = x._den
-    a0, a1, a2, a3 = numerators[-1]
+    t = 2 * x0
+    m = x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3
+    b0, b1, b2, b3 = numerators[-1]
+    c0 = c1 = c2 = c3 = 0
     s = 1
-    for n0, n1, n2, n3 in reversed(numerators[:-1]):
+    for n0, n1, n2, n3 in reversed(numerators[1:-1]):
         s *= d
-        # Quaternion.__mul__'s product formula, inlined: a shared helper
-        # would cost a call per product there.
-        a0, a1, a2, a3 = (
-            a0 * x0 - a1 * x1 - a2 * x2 - a3 * x3 + n0 * s,
-            a0 * x1 + a1 * x0 + a2 * x3 - a3 * x2 + n1 * s,
-            a0 * x2 - a1 * x3 + a2 * x0 + a3 * x1 + n2 * s,
-            a0 * x3 + a1 * x2 - a2 * x1 + a3 * x0 + n3 * s,
+        b0, b1, b2, b3, c0, c1, c2, c3 = (
+            n0 * s + t * b0 - m * c0,
+            n1 * s + t * b1 - m * c1,
+            n2 * s + t * b2 - m * c2,
+            n3 * s + t * b3 - m * c3,
+            b0, b1, b2, b3,
         )
-    return (a0, a1, a2, a3), s
+    s *= d
+    n0, n1, n2, n3 = numerators[0]
+    # Quaternion.__mul__'s product B_1 * X, inlined
+    return (
+        b0 * x0 - b1 * x1 - b2 * x2 - b3 * x3 + n0 * s - m * c0,
+        b0 * x1 + b1 * x0 + b2 * x3 - b3 * x2 + n1 * s - m * c1,
+        b0 * x2 - b1 * x3 + b2 * x0 + b3 * x1 + n2 * s - m * c2,
+        b0 * x3 + b1 * x2 - b2 * x1 + b3 * x0 + n3 * s - m * c3,
+    ), s
 
 
 ZERO = _raw((0, 0, 0, 0), 1)

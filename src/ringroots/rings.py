@@ -57,14 +57,21 @@ class Ring:
             ladder.append(ladder[-1] * x)
         return ladder[: n + 1]
 
-    def _horner(self, coeffs, x):
-        """sum(coeffs[i] * x**i) for a non-empty coefficient sequence, by
-        Horner's rule acc -> acc*x + c_i on the payload operators.  Matrix
-        and quaternion rings run their payload's int kernel instead."""
-        acc = coeffs[-1]
-        for c in reversed(coeffs[:-1]):
-            acc = acc * x + c
-        return acc
+    def _values(self, coeffs, points) -> tuple:
+        """The values sum(coeffs[i] * x**i) at each x of `points`, for a
+        non-empty coefficient sequence and points already checked, by
+        Horner's rule acc -> acc*x + c_i on the payload operators.  The one
+        evaluation kernel of a ring: `Polynomial.evaluate` calls it with
+        one point, `construct.verify_roots` with all of them.  Matrix and
+        quaternion rings run their payload's int kernel instead, which
+        brings the coefficients over one denominator once for all points."""
+        values = []
+        for x in points:
+            acc = coeffs[-1]
+            for c in reversed(coeffs[:-1]):
+                acc = acc * x + c
+            values.append(acc)
+        return tuple(values)
 
     def invert(self, a):
         """Two-sided inverse of a, or None when a is not a unit."""
@@ -128,7 +135,7 @@ class MatrixRing(Ring):
     """Square k x k matrices over a field."""
 
     kind = "matrix"
-    _horner = staticmethod(matrices._horner)
+    _values = staticmethod(matrices._values)
 
     def __init__(self, k: int, field):
         if k < 1:
@@ -201,7 +208,7 @@ class QuaternionRing(Ring):
     kind = "quaternion"
     zero = ZERO
     one = ONE
-    _horner = staticmethod(quaternions._horner)
+    _values = staticmethod(quaternions._values)
 
     def contains(self, x) -> bool:
         return isinstance(x, Quaternion)

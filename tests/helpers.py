@@ -158,6 +158,28 @@ def reference_evaluate(p: Polynomial, point):
     return acc
 
 
+def reference_quaternion_horner(numerators, x) -> tuple:
+    """(A, d**n) with sum(P_i * x**i) = A / (e * d**n), for int numerator
+    4-tuples P_0..P_n over one common denominator e and x = X / d, by
+    Horner's rule on the ints, A_0 = P_n and
+    A_k = A_(k-1) * X + P_(n-k) * d**k: the quaternion int core the
+    package ran before it took the remainder by x's real quadratic, kept
+    as the reference that core must reproduce."""
+    x0, x1, x2, x3 = x._n
+    d = x._den
+    a0, a1, a2, a3 = numerators[-1]
+    s = 1
+    for n0, n1, n2, n3 in reversed(numerators[:-1]):
+        s *= d
+        a0, a1, a2, a3 = (
+            a0 * x0 - a1 * x1 - a2 * x2 - a3 * x3 + n0 * s,
+            a0 * x1 + a1 * x0 + a2 * x3 - a3 * x2 + n1 * s,
+            a0 * x2 - a1 * x3 + a2 * x0 + a3 * x1 + n2 * s,
+            a0 * x3 + a1 * x2 - a2 * x1 + a3 * x0 + n3 * s,
+        )
+    return (a0, a1, a2, a3), s
+
+
 def reference_construct(roots, exact_degree=False) -> ConstructionTrace:
     """The root-folding loop with every new factor multiplied on by the
     general convolution, x_minus(s) * poly and x * poly: the construction
