@@ -15,19 +15,29 @@ from one power ladder per root (``_difference_columns``), block i scaled
 by D^i, which moves no rank, pivot or free variable.  Over any ring with
 identity, an invertible power difference x1^j - x2^j yields a direct
 construction; over a matrix ring one elimination per j finds it, with no
-inverse formed.  The constant term a0 = -(x1^n + sum a_i x1^i) comes
-from the ring's evaluation kernel at x1, and every returned polynomial
-is evaluated at both roots before it leaves.
+inverse formed.  ``_difference_columns`` memoises its last pair, keyed
+on the exact (x1, x2, n), so the criterion and the direct construction
+run on one pair build the ladders and blocks once; only these immutable
+int tuples are kept, never a verdict or a polynomial.  Over a matrix
+ring the constant term a0 = -(x1^n + sum a_i x1^i) is summed from x1's
+ladder over one denominator, one product per nonzero a_i; other rings,
+the public ``constant_term`` and the oracle run the ring's evaluation
+kernel at x1.  Every returned polynomial is evaluated at both roots
+before it leaves, by that kernel, so a ladder a0 is checked along a path
+that did not compute it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from math import lcm
+from operator import mul
 
 from .construct import _assert_annihilates
 from .errors import DomainError, MismatchError
 from .linalg import _solve_blocks, rank  # noqa: F401  (bench/tests reads existence.rank)
-from .matrices import Matrix, _power_rows
+from .matrices import Matrix, _power_rows, _trusted
 from .polynomials import Polynomial
 from .rings import MatrixRing, Ring, infer_ring
 
@@ -115,12 +125,12 @@ def _criterion(x1: Matrix, x2: Matrix, n: int) -> CriterionReport:
     ring = _matrix_pair_ring(x1, x2)
     _check_degree(n)
     ring.check(x2)
-    blocks, d = _difference_columns(x1, x2, n)
+    ladder1, blocks, d = _difference_columns(x1, x2, n)
     outcome = _solve_blocks(ring.field, blocks, [d ** (n - i) for i in range(1, n)])
     coefficients = a0 = None
     if outcome.consistent:
         coefficients = outcome.particular
-        a0 = _constant_term(ring, coefficients, x1)
+        a0 = _ladder_constant_term(coefficients, x1, ladder1)
         _assert_annihilates(_monic_polynomial(ring, coefficients, a0), (x1, x2))
     return CriterionReport(
         n=n,
@@ -134,19 +144,44 @@ def _criterion(x1: Matrix, x2: Matrix, n: int) -> CriterionReport:
     )
 
 
+@lru_cache(maxsize=1)
 def _difference_columns(x1: Matrix, x2: Matrix, n: int) -> tuple:
-    """(blocks, D): blocks[i - 1] holds the columns of the int matrix
-    E_i = N1^i d2^i - N2^i d1^i = D^i (x1^i - x2^i) for i < n, and
-    blocks[n - 1] those of -E_n, where x1 = N1/d1, x2 = N2/d2, D = d1*d2
-    and N^i comes from ``matrices._power_rows``.  Over F_p, D = 1."""
+    """(ladder1, blocks, D), all tuples: ladder1 = (N1^1, ..., N1^n) from
+    ``matrices._power_rows``; blocks[i - 1] holds the columns of the int
+    matrix E_i = N1^i d2^i - N2^i d1^i = D^i (x1^i - x2^i) for i < n, and
+    blocks[n - 1] those of -E_n, where x1 = N1/d1, x2 = N2/d2 and
+    D = d1*d2.  Over F_p, D = 1.
+
+    The last pair is memoised on the exact (x1, x2, n), the matrices'
+    fields included, so the criterion and the direct construction on one
+    pair share its ladders and blocks; the result is tuples throughout,
+    so no caller can change what the next one reads."""
     d1, d2 = x1._den, x2._den
     ladder1, ladder2 = _power_rows(x1, n), _power_rows(x2, n)
     blocks = []
     for i in range(1, n + 1):
         s1, s2 = (d2**i, d1**i) if i < n else (-(d2**i), -(d1**i))
-        blocks.append([[a * s1 - b * s2 for a, b in zip(c1, c2)]
-                       for c1, c2 in zip(zip(*ladder1[i - 1]), zip(*ladder2[i - 1]))])
-    return blocks, d1 * d2
+        blocks.append(tuple([tuple([a * s1 - b * s2 for a, b in zip(c1, c2)])
+                             for c1, c2 in zip(zip(*ladder1[i - 1]), zip(*ladder2[i - 1]))]))
+    return tuple(ladder1), tuple(blocks), d1 * d2
+
+
+def _ladder_constant_term(coefficients, x: Matrix, ladder) -> Matrix:
+    """-(x^n + sum_i a_i x^i) for coefficients (a_1, ..., a_(n-1)) and
+    ladder = (N^1, ..., N^n) of x = N/d, with one ``_trusted``: over
+    L = lcm of the nonzero a_i's dens (a_i = A_i/e_i), it is
+    -(L N^n + sum (L/e_i) d^(n-i) A_i N^i) / (L d^n), one int product
+    per nonzero a_i and none for a zero one."""
+    n, d = len(ladder), x._den
+    terms = [(i, c) for i, c in enumerate(coefficients, 1) if c]
+    lead = lcm(*[c._den for _, c in terms])
+    acc = [[-lead * v for v in row] for row in ladder[-1]]
+    for i, c in terms:
+        s = lead // c._den * d ** (n - i)
+        cols = tuple(zip(*ladder[i - 1]))
+        acc = [[v - s * sum(map(mul, row, col)) for v, col in zip(acc_row, cols)]
+               for acc_row, row in zip(acc, c._rows)]
+    return _trusted(x.field, tuple(map(tuple, acc)), lead * d**n)
 
 
 def invertible_difference_construct(x1, x2, n: int) -> Polynomial | None:
@@ -170,7 +205,11 @@ def invertible_difference_construct(x1, x2, n: int) -> Polynomial | None:
     j, a_j = found
     coefficients = [ring.zero] * (n - 1)
     coefficients[j - 1] = a_j
-    a0 = _constant_term(ring, coefficients, x1)
+    if isinstance(ring, MatrixRing):
+        # x1's ladder is in the pair memo that _invertible_difference filled.
+        a0 = _ladder_constant_term(coefficients, x1, _difference_columns(x1, x2, n)[0])
+    else:
+        a0 = _constant_term(ring, coefficients, x1)
     return _assert_annihilates(_monic_polynomial(ring, coefficients, a0), (x1, x2))
 
 
@@ -180,7 +219,7 @@ def _invertible_difference(ring: Ring, x1, x2, n: int):
         # a_j (x1^j - x2^j) = x2^n - x1^n is E_j^T (D^(n-j) a_j^T) = -E_n^T:
         # k pivots left of the bar mean x1^j - x2^j is invertible, and then
         # the one solution is a_j, without an inverse or a product.
-        blocks, d = _difference_columns(x1, x2, n)
+        _, blocks, d = _difference_columns(x1, x2, n)
         for j in range(1, n):
             outcome = _solve_blocks(ring.field, (blocks[j - 1], blocks[-1]), (d ** (n - j),))
             if outcome.rank == ring.k:

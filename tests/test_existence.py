@@ -21,7 +21,10 @@ from ringroots import (
     rref,
     verify_roots,
 )
-from ringroots.existence import MAX_DEGREE, _constant_term
+from ringroots import existence
+from ringroots.existence import (MAX_DEGREE, _constant_term, _difference_columns,
+                                 _ladder_constant_term)
+from ringroots.matrices import _power_rows
 
 from helpers import (
     F2,
@@ -155,13 +158,39 @@ def test_constant_term_examples():
     assert constant_term((rank_gap_cubic_coefficient(), M2Q.zero), g1, g2, 3) == M2Q.zero
 
 
-@pytest.mark.parametrize("ring", [M2Q, MatrixRing(3, PrimeField(5)), HH], ids=repr)
-def test_constant_term_matches_the_ladder_sum(ring):
+BIG_PRIME = 3317044064679887385961813
+
+
+def _forty_digit_matrix(rng):
+    return Matrix.from_rows(QQ, [[Fraction(rng.randint(-(10**40), 10**40), rng.randint(1, 10**40))
+                                  for _ in range(2)] for _ in range(2)])
+
+
+@pytest.mark.parametrize("ring, draw", [
+    pytest.param(M2Q, None, id=repr(M2Q)),
+    pytest.param(MatrixRing(3, PrimeField(5)), None, id="MatrixRing(3, PrimeField(5))"),
+    pytest.param(HH, None, id=repr(HH)),
+    pytest.param(M2Q, _forty_digit_matrix, id="MatrixRing(2, RationalField()), 40 digits"),
+    pytest.param(MatrixRing(2, PrimeField(BIG_PRIME)), None,
+                 id=f"MatrixRing(2, PrimeField({BIG_PRIME}))"),
+])
+def test_constant_term_matches_the_ladder_sum(ring, draw):
+    # Both constant-term routes, Horner at x and the sum over x's int
+    # ladder, against the reference on random, all-zero and one-nonzero
+    # coefficients; the ladder route payload for payload.
     rng = random.Random(12)
+    draw = draw or (lambda rng: rand_element(rng, ring))
     for n in range(1, 9):
-        coefficients = [rand_element(rng, ring) for _ in range(n - 1)]
-        x = rand_element(rng, ring)
-        assert _constant_term(ring, coefficients, x) == reference_constant_term(ring, coefficients, x)
+        x = draw(rng)
+        one_nonzero = [ring.zero] * (n - 1)
+        if n > 1:
+            one_nonzero[rng.randrange(n - 1)] = draw(rng)
+        for coefficients in ([draw(rng) for _ in range(n - 1)], [ring.zero] * (n - 1), one_nonzero):
+            expected = reference_constant_term(ring, coefficients, x)
+            assert _constant_term(ring, coefficients, x) == expected
+            if isinstance(ring, MatrixRing):
+                got = _ladder_constant_term(coefficients, x, _power_rows(x, n))
+                assert (got.field, got._rows, got._den) == (ring.field, expected._rows, expected._den)
 
 
 def test_constant_term_rejects_non_solutions():
@@ -452,10 +481,63 @@ def _dumps(obj):
 
 
 @hypothesis.settings(max_examples=200, deadline=None, database=None, derandomize=True)
-@hypothesis.given(root_pairs())
-def test_criterion_and_direct_match_the_operator_route(case):
+@hypothesis.given(root_pairs(), st.sampled_from(["criterion first", "direct first", "direct cold"]))
+def test_criterion_and_direct_match_the_operator_route(case, order):
     # The integer system from the ladders' numerators must give the very
-    # report and polynomial of the Matrix-operator route.
+    # report and polynomial of the Matrix-operator route, whichever of the
+    # two fills the pair memo and whether the direct construction finds it
+    # filled or cleared.
     x1, x2, n = case
-    assert _dumps(degree_n_existence(x1, x2, n)) == _dumps(reference_criterion(x1, x2, n))
-    assert _dumps(invertible_difference_construct(x1, x2, n)) == _dumps(reference_direct(x1, x2, n))
+    if order == "direct first":
+        direct = _dumps(invertible_difference_construct(x1, x2, n))
+        criterion = _dumps(degree_n_existence(x1, x2, n))
+    else:
+        criterion = _dumps(degree_n_existence(x1, x2, n))
+        if order == "direct cold":
+            _difference_columns.cache_clear()
+        direct = _dumps(invertible_difference_construct(x1, x2, n))
+    assert criterion == _dumps(reference_criterion(x1, x2, n))
+    assert direct == _dumps(reference_direct(x1, x2, n))
+
+
+def _both_answers(x1, x2, n):
+    return _dumps(degree_n_existence(x1, x2, n)), _dumps(invertible_difference_construct(x1, x2, n))
+
+
+def test_pair_memo_serves_only_its_own_pair():
+    # Each case follows one that a memo keyed on less than the exact
+    # (x1, x2, n) would mistake it for: the same pair at another n, another
+    # x2 for the same x1 and n, the roots swapped, and equal payloads over
+    # another field.  Run in a row, each must answer as it does cold.
+    x1, x2 = zero_column_pair()
+    x3 = x2 + M3Q.one
+    rows, other = [[1, 1], [0, 1]], [[0, 1], [1, 0]]
+    ints, other_ints = [[1, 2], [3, 4]], [[2, 0], [1, 1]]
+    cases = [(x1, x2, 3), (x1, x2, 5), (x1, x3, 5), (x3, x1, 5)]
+    for field, a, b in ((F2, rows, other), (F3, rows, other),
+                        (QQ, ints, other_ints), (PrimeField(5), ints, other_ints)):
+        cases.append((Matrix.from_rows(field, a), Matrix.from_rows(field, b), 3))
+    cold = []
+    for case in cases:
+        _difference_columns.cache_clear()
+        cold.append(_both_answers(*case))
+    assert [_both_answers(*case) for case in cases] == cold
+    # Only the swapped pair shares its answers (the same polynomial kills
+    # both roots), so every other case tells its predecessor apart.
+    assert cold[2] == cold[3] and len(set(cold)) == len(cold) - 1
+
+
+def test_criterion_then_direct_build_each_ladder_once(monkeypatch):
+    calls = []
+
+    def spy(x, n):
+        calls.append(n)
+        return _power_rows(x, n)
+
+    monkeypatch.setattr(existence, "_power_rows", spy)
+    _difference_columns.cache_clear()
+    rng = random.Random(15)
+    x1, x2 = rand_matrix(rng, QQ, 3), rand_matrix(rng, QQ, 3)
+    assert degree_n_existence(x1, x2, 4).exists
+    assert invertible_difference_construct(x1, x2, 4) is not None
+    assert calls == [4, 4]
