@@ -431,7 +431,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 BIG = 10**39 + 7  # 40 digits
-PRIMES = (2, 3, 65521, 3317044064679887385961813)
+PRIMES = (2, 3, 65521, BIG_PRIME)
 
 # Small integers, mixed small denominators, and 40-digit numerators over
 # 40-digit denominators.
