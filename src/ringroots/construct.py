@@ -16,7 +16,8 @@ quaternion int core on those numerators, and the conjugated root
 s = h*x_m*h**-1 from two int products.  With s = t/c, the new numerators
 c*R_(j-1) - t*R_j over D*c are reduced by one gcd per step, and the
 coefficients become `Quaternion`s once, at the end.  The matrix and
-scalar rings fold on `Polynomial`s.
+scalar rings fold on a list of ring elements.  Either fold returns
+coefficients, made a `Polynomial` once the referee has passed them.
 """
 
 from __future__ import annotations
@@ -99,24 +100,26 @@ def construct_with_roots(roots, exact_degree: bool = False) -> ConstructionTrace
     if not roots:
         raise DomainError("at least one root is required")
     ring = infer_ring(roots[0])
+    roots = [ring.check(r) for r in roots]
     fold = _fold_quaternions if isinstance(ring, QuaternionRing) else _fold
-    steps, poly = fold(ring, roots, exact_degree)
-    if poly is None:
+    steps, coeffs = fold(ring, roots, exact_degree)
+    if coeffs is None:
         return ConstructionTrace(ring, steps, None)
-    return ConstructionTrace(ring, steps, _assert_annihilates(poly, roots))
+    _assert_annihilates(ring, coeffs, roots)
+    return ConstructionTrace(ring, steps, Polynomial(ring, coeffs))
 
 
 def _fold(ring: Ring, roots, exact_degree: bool) -> tuple:
-    """(steps, result or None): the recursion on `Polynomial`s, for the
-    matrix and scalar rings."""
-    poly = Polynomial.x_minus(ring, roots[0])
+    """(steps, coefficients or None): the recursion on a coefficient list,
+    for the matrix and scalar rings."""
+    coeffs = [-roots[0], ring.one]
     steps = []
     for index in range(1, len(roots)):
         root = roots[index]
-        h = poly.evaluate(root)
+        h = ring._values(coeffs, (root,))[0]
         if not h:
             if exact_degree:
-                poly = Polynomial(ring, (ring.zero, *poly.coeffs))
+                coeffs.insert(0, ring.zero)
                 steps.append(ConstructionStep(index, h, BRANCH_PAD_WITH_X))
             else:
                 steps.append(ConstructionStep(index, h, BRANCH_ALREADY_ROOT))
@@ -127,32 +130,31 @@ def _fold(ring: Ring, roots, exact_degree: bool) -> tuple:
             return tuple(steps), None
         shifted = h * root * hinv
         steps.append(ConstructionStep(index, h, BRANCH_CONJUGATE, shifted))
-        poly = _times_x_minus(shifted, poly)
-    return tuple(steps), poly
+        coeffs = _times_x_minus(shifted, coeffs)
+    return tuple(steps), coeffs
 
 
-def _times_x_minus(s, poly: Polynomial) -> Polynomial:
-    """(x - s) * poly, built as x*poly - s*poly: coefficients -s*p_0,
-    then p_(j-1) - s*p_j, then the leading p_d.  The variable is central,
-    so this is the product the convolution gives."""
-    p = poly.coeffs
-    return Polynomial(poly.ring, [-(s * p[0]), *(a - s * b for a, b in zip(p, p[1:])), p[-1]])
+def _times_x_minus(s, p: list) -> list:
+    """The coefficients of (x - s) * P for P's coefficients p, built as
+    x*P - s*P: -s*p_0, then p_(j-1) - s*p_j, then the leading p_d.  The
+    variable is central, so this is the product the convolution gives."""
+    return [-(s * p[0]), *(a - s * b for a, b in zip(p, p[1:])), p[-1]]
 
 
 def _fold_quaternions(ring: Ring, roots, exact_degree: bool) -> tuple:
-    """(steps, result): the recursion over H with R held as int numerator
-    4-tuples over one common denominator.
+    """(steps, coefficients): the recursion over H with R held as int
+    numerator 4-tuples over one common denominator.
 
     h = R(r) comes from ``quaternions._value_ints`` and one gcd, and the
     conjugated root s = h*r*h**-1 from ``_conjugated_root`` on the ints,
-    so both are the canonical values the `Polynomial` loop reaches.  The
+    so both are the canonical values the operators reach.  The
     coefficients become `Quaternion`s once, at the end.
     """
     first = roots[0]
     num, den = [tuple(-v for v in first._n), (first._den, 0, 0, 0)], first._den
     steps = []
     for index in range(1, len(roots)):
-        root = ring.check(roots[index])
+        root = roots[index]
         acc, scale = quaternions._value_ints(num, root)
         h = quaternions._trusted(*acc, den * scale)
         if not h:
@@ -165,7 +167,7 @@ def _fold_quaternions(ring: Ring, roots, exact_degree: bool) -> tuple:
         shifted = _conjugated_root(h, root)
         steps.append(ConstructionStep(index, h, BRANCH_CONJUGATE, shifted))
         num, den = _times_x_minus_numerators(shifted, num, den)
-    return tuple(steps), Polynomial(ring, [quaternions._trusted(*q, den) for q in num])
+    return tuple(steps), [quaternions._trusted(*q, den) for q in num]
 
 
 def _conjugated_root(h, r):
@@ -227,10 +229,10 @@ def verify_roots(p: Polynomial, roots) -> tuple:
     return ring._values(p.coeffs, roots)
 
 
-def _assert_annihilates(poly: Polynomial, roots) -> Polynomial:
+def _assert_annihilates(ring: Ring, coeffs, roots):
     """The referee every constructed polynomial passes before it leaves
-    the package: poly itself when it vanishes at each of `roots`, and
-    RuntimeError otherwise, since that can only be a bug."""
-    if any(verify_roots(poly, roots)):
+    the package: RuntimeError unless its coefficients `coeffs` (constant
+    term first) vanish at each of `roots` by the ring's evaluation kernel,
+    since anything else can only be a bug."""
+    if any(ring._values(coeffs, roots)):
         raise RuntimeError("internal error: a constructed polynomial does not annihilate its roots")
-    return poly

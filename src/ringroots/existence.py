@@ -70,7 +70,7 @@ class CriterionReport:
         """The monic annihilator x^n + sum a_i x^i + a0, when it exists."""
         if not self.exists:
             return None
-        return _monic_polynomial(self.ring, self.coefficients, self.a0)
+        return Polynomial(self.ring, [self.a0, *self.coefficients, self.ring.one])
 
     def to_json(self) -> dict:
         enc = self.ring.element_to_json
@@ -85,10 +85,6 @@ class CriterionReport:
             "a0": enc(self.a0) if self.a0 is not None else None,
             "solution_space_dim": self.solution_space_dim,
         }
-
-
-def _monic_polynomial(ring: Ring, coefficients, a0) -> Polynomial:
-    return Polynomial(ring, [a0, *coefficients, ring.one])
 
 
 def _matrix_pair_ring(x1, x2) -> MatrixRing:
@@ -131,7 +127,7 @@ def _criterion(x1: Matrix, x2: Matrix, n: int) -> CriterionReport:
     if outcome.consistent:
         coefficients = outcome.particular
         a0 = _ladder_constant_term(coefficients, x1, ladder1)
-        _assert_annihilates(_monic_polynomial(ring, coefficients, a0), (x1, x2))
+        _assert_annihilates(ring, (a0, *coefficients, ring.one), (x1, x2))
     return CriterionReport(
         n=n,
         rank_difference_matrix=outcome.rank,
@@ -192,7 +188,8 @@ def invertible_difference_construct(x1, x2, n: int) -> Polynomial | None:
     a_j = (x2^n - x1^n) * (x1^j - x2^j)^-1.  Returns None when every
     power difference is singular; the joint-system criterion may still
     succeed in that case.  Works over any supported ring, not just
-    matrices, the ring of x1; n is at most MAX_DEGREE.
+    matrices, the ring of x1; over H and the fields, division rings,
+    j = 1 always.  n is at most MAX_DEGREE.
     """
     ring = infer_ring(x1)
     if x1 == x2:
@@ -210,7 +207,9 @@ def invertible_difference_construct(x1, x2, n: int) -> Polynomial | None:
         a0 = _ladder_constant_term(coefficients, x1, _difference_columns(x1, x2, n)[0])
     else:
         a0 = _constant_term(ring, coefficients, x1)
-    return _assert_annihilates(_monic_polynomial(ring, coefficients, a0), (x1, x2))
+    coeffs = (a0, *coefficients, ring.one)
+    _assert_annihilates(ring, coeffs, (x1, x2))
+    return Polynomial(ring, coeffs)
 
 
 def _invertible_difference(ring: Ring, x1, x2, n: int):
@@ -225,12 +224,9 @@ def _invertible_difference(ring: Ring, x1, x2, n: int):
             if outcome.rank == ring.k:
                 return j, outcome.particular[0]
         return None
+    # H and the fields are division rings: x1 - x2 != 0 is a unit, so j = 1.
     powers1, powers2 = ring.powers(x1, n), ring.powers(x2, n)
-    for j in range(1, n):
-        inverse = ring.invert(powers1[j] - powers2[j])
-        if inverse is not None:
-            return j, (powers2[n] - powers1[n]) * inverse
-    return None
+    return 1, (powers2[n] - powers1[n]) * ring.invert(x1 - x2)
 
 
 def constant_term(coefficients, x1, x2, n: int):

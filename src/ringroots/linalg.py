@@ -1,12 +1,13 @@
 """Exact linear algebra over a field: RREF, rank, consistency, solutions.
 
-The one elimination is ``rref``, a fraction-free Gauss-Jordan on a
-matrix's int payload with the first nonzero entry of the leftmost
-unresolved column as pivot: exact arithmetic needs no pivoting
+The one elimination is ``_fraction_free_rref``, a Gauss-Jordan on int
+rows with the first nonzero entry of the leftmost unresolved column as
+pivot: exact arithmetic needs no pivoting
 heuristics, and the fixed rule keeps outputs reproducible.  The field
-supplies only the row reduction that keeps the entries small.  A solve is
-one RREF of the augmented matrix, which gives both ranks and the
-particular solution.
+supplies only the row reduction that keeps the entries small.  ``rref``
+runs it on a matrix's payload and returns the canonical form.  A solve
+runs it on the augmented int rows, which gives both ranks, and reads the
+particular solution off the pivot rows, with no RREF matrix built.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from itertools import chain
 from math import lcm
 
 from .errors import MismatchError
-from .matrices import Matrix, _raw, _trusted
+from .matrices import Matrix, _trusted
 
 
 @dataclass(frozen=True)
@@ -105,7 +106,7 @@ def solve_stacked(blocks, rhs: Matrix) -> StackedSolveOutcome:
     Row i of the equation constrains only the i-th rows of the X_j, so
     the whole thing is k independent systems sharing the coefficient
     matrix C = [A_1^T | ... | A_m^T]: one multi-column system C*Y = B^T,
-    solved by one RREF of [C | B^T], whose int rows are the columns of
+    solved by one elimination of [C | B^T], whose int rows are the columns of
     the blocks' numerators over the lcm of their dens.  Free variables
     are set to zero.
     """
@@ -126,27 +127,27 @@ def solve_stacked(blocks, rhs: Matrix) -> StackedSolveOutcome:
 
 def _solve_blocks(field, blocks, dens) -> StackedSolveOutcome:
     """Solve C*Y = R for C = [C_1 | ... | C_m], with blocks = (C_1, ...,
-    C_m, R) each given as its k int rows, by one `rref` of [C | R]; free
-    variables are zero.  Block Y_j of the solution comes back as the
-    matrix Y_j^T / dens[j]: a caller that scaled C_j by c_j and R by c,
-    which moves no rank, pivot or free variable, passes c / c_j.
+    C_m, R) each given as its k int rows, by one elimination of [C | R] on
+    the ints; free variables are zero.  Block Y_j of the solution comes
+    back as the matrix Y_j^T / dens[j]: a caller that scaled C_j by c_j and
+    R by c, which moves no rank, pivot or free variable, passes c / c_j.
     """
-    # Each row mod p over F_p, where rref needs residues; over Q divided
-    # by its content, which changes no solution.
-    rows = tuple(tuple(field.reduce_row(list(chain.from_iterable(parts))))
-                 for parts in zip(*blocks))
-    k = len(rows)
-    rr = rref(_raw(field, rows, 1))
-    split = len(rows[0]) - k
-    rk = sum(c < split for c in rr.pivot_columns)
+    # Each row mod p over F_p, where the elimination needs residues; over
+    # Q divided by its content, which changes no solution.
+    work = [field.reduce_row(list(chain.from_iterable(parts))) for parts in zip(*blocks)]
+    k = len(work)
+    pivots = _fraction_free_rref(work, field.reduce_row)
+    split = len(work[0]) - k
+    rk = sum(c < split for c in pivots)
     dim = k * (split - rk)
-    if rk < rr.rank:  # Kronecker-Capelli: a pivot in the R columns
-        return StackedSolveOutcome(False, None, dim, rk, rr.rank)
-    # Y is zero in the free rows and over the RREF's den.
-    out, den = rr.rref._rows, rr.rref._den
+    if rk < len(pivots):  # Kronecker-Capelli: a pivot in the R columns
+        return StackedSolveOutcome(False, None, dim, rk, len(pivots))
+    # Y is zero in the free rows, and row c of Y, c = pivots[i], is the
+    # R part of pivot row i over its pivot, over the pivots' lcm (as in rref).
+    den = lcm(*(row[c] for row, c in zip(work, pivots)))
     y = [(0,) * k] * split
-    for row_idx, col in enumerate(rr.pivot_columns):
-        y[col] = out[row_idx][split:]
+    for row, c in zip(work, pivots):
+        y[c] = tuple(a * (den // row[c]) for a in row[split:])
     parts = tuple(_trusted(field, tuple(zip(*y[j * k : (j + 1) * k])), den * d)
                   for j, d in enumerate(dens))
-    return StackedSolveOutcome(True, parts, dim, rk, rr.rank)
+    return StackedSolveOutcome(True, parts, dim, rk, len(pivots))

@@ -13,9 +13,9 @@ Polynomial evaluation runs ``_values``: for each point, one Horner loop
 on the int rows over a common denominator, for both fields, with one
 ``normalize`` of the final value instead of one per step (see
 ``rings.Ring._values``); over F_p the rows are also reduced mod p every
-few steps.  Powers come from the int ladder beside it, ``_power_rows``,
-which the existence criteria read directly and ``MatrixRing.powers``
-makes canonical.
+few steps.  The existence criteria read their powers off the int ladder
+beside it, ``_power_rows``; the oracle's come from ``Ring.powers``, one
+``Matrix`` product at a time, independent of that kernel.
 
 Entries from outside are validated once, at the boundary:
 ``Matrix(...)``, ``from_rows`` and ``from_json`` check every entry

@@ -14,7 +14,7 @@ from operator import mul
 
 from .construct import _assert_annihilates
 from .errors import DomainError
-from .existence import _check_degree, _constant_term, _monic_polynomial, degree_n_existence
+from .existence import _check_degree, _constant_term, degree_n_existence
 from .matrices import Matrix, _raw
 from .rings import MatrixRing, Ring
 from .scalars import PrimeField
@@ -136,7 +136,7 @@ def brute_force_exists(x1: Matrix, x2: Matrix, n: int, ring: MatrixRing) -> Brut
 
     witness = tuple(_element(ring, rows, d) for d in _digits(first, size, n - 1))
     a0 = _constant_term(ring, witness, x1)
-    _assert_annihilates(_monic_polynomial(ring, witness, a0), (x1, x2))
+    _assert_annihilates(ring, (a0, *witness, ring.one), (x1, x2))
     return BruteForceResult(witness, a0, count)
 
 

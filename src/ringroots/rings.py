@@ -61,10 +61,12 @@ class Ring:
         """The values sum(coeffs[i] * x**i) at each x of `points`, for a
         non-empty coefficient sequence and points already checked, by
         Horner's rule acc -> acc*x + c_i on the payload operators.  The one
-        evaluation kernel of a ring: `Polynomial.evaluate` calls it with
-        one point, `construct.verify_roots` with all of them.  Matrix and
-        quaternion rings run their payload's int kernel instead, which
-        brings the coefficients over one denominator once for all points."""
+        evaluation kernel of a ring: `Polynomial.evaluate`, ``construct._fold``
+        and ``existence._constant_term`` call it with one point, and
+        `construct.verify_roots` and the referee ``_assert_annihilates``
+        with all the roots.  Matrix and quaternion rings run their payload's
+        int kernel instead, which brings the coefficients over one
+        denominator once for all points."""
         values = []
         for x in points:
             acc = coeffs[-1]
@@ -150,14 +152,6 @@ class MatrixRing(Ring):
     @cached_property
     def one(self):
         return Matrix.identity(self.field, self.k)
-
-    def powers(self, x, n: int) -> list:
-        """[x^0, x^1, ..., x^n] from the int ladder of ``matrices._power_rows``,
-        one canonical ``Matrix`` per power from x^2 on."""
-        field, d = self.field, self.check(x)._den
-        ladder = matrices._power_rows(x, n)
-        return [self.one, x, *(matrices._trusted(field, rows, d**i)
-                               for i, rows in enumerate(ladder[1:], 2))][: n + 1]
 
     def contains(self, x) -> bool:
         return (

@@ -19,10 +19,14 @@ from ringroots import (
     MismatchError,
     Polynomial,
     Quaternion,
+    brute_force_exists,
     construct_with_roots,
+    degree_n_existence,
     enumerate_ring,
+    invertible_difference_construct,
     verify_roots,
 )
+from ringroots import construct, existence, oracle
 
 from helpers import (
     F2,
@@ -198,6 +202,48 @@ def test_mixed_ring_roots_rejected():
         construct_with_roots([QI, M2Q.one])
     with pytest.raises(MismatchError):
         construct_with_roots([M2Q.one, Matrix.identity(F2, 2)])
+
+
+def test_every_root_is_checked_before_the_fold():
+    # A foreign root after an obstructing step is still rejected: the
+    # roots are checked once, up front, not as the fold reaches them.
+    x1, x2 = find_obstructed_pair()
+    with pytest.raises(MismatchError):
+        construct_with_roots([x1, x2, QI])
+
+
+# The pair of each matrix case has an invertible difference, so the
+# construction, the criterion, the direct construction and the search all
+# reach their referee.
+_X1, _X2 = M2Q.element([[1, 2], [3, 4]]), M2Q.element([[0, 1], [1, 0]])
+_B1, _B2 = M2F2.element([[0, 1], [0, 0]]), M2F2.element([[1, 0], [0, 1]])
+
+
+@pytest.mark.parametrize(
+    "module, producer, wrong, run",
+    [
+        (existence, "_ladder_constant_term", lambda a0: a0 + M2Q.one,
+         lambda: degree_n_existence(_X1, _X2, 3)),
+        (existence, "_ladder_constant_term", lambda a0: a0 + M2Q.one,
+         lambda: invertible_difference_construct(_X1, _X2, 3)),
+        (construct, "_conjugated_root", lambda s: s + Quaternion(1),
+         lambda: construct_with_roots([QI, QJ])),
+        (construct, "_times_x_minus", lambda c: [c[0] + M2Q.one, *c[1:]],
+         lambda: construct_with_roots([_X1, _X2])),
+        (oracle, "_constant_term", lambda a0: a0 + M2F2.one,
+         lambda: brute_force_exists(_B1, _B2, 2, M2F2)),
+    ],
+    ids=["criterion-a0", "direct-a0", "conjugated-root-over-H", "times-x-minus-over-M2Q",
+         "oracle-a0"],
+)
+def test_the_referee_rejects_a_wrong_result(monkeypatch, module, producer, wrong, run):
+    # Each producer, made to return a wrong value, must end in the
+    # referee's RuntimeError rather than in a returned result.
+    run()
+    original = getattr(module, producer)
+    monkeypatch.setattr(module, producer, lambda *args: wrong(original(*args)))
+    with pytest.raises(RuntimeError, match="does not annihilate"):
+        run()
 
 
 def test_verify_roots_reports_nonzero_residuals():

@@ -13,6 +13,7 @@ from ringroots import (
     MismatchError,
     Polynomial,
     PrimeField,
+    ScalarRing,
     constant_term,
     degree_n_existence,
     invertible_difference_construct,
@@ -36,6 +37,7 @@ from helpers import (
     QI,
     QJ,
     QQ,
+    RAT,
     involution_pair,
     nilpotent_shift_pair,
     rand_element,
@@ -201,13 +203,26 @@ def test_constant_term_rejects_non_solutions():
         constant_term((M2Q.one,), x1, x2, 3)
 
 
-def test_direct_construction_over_quaternions():
+def test_direct_construction_over_division_rings():
+    # Over H and the fields x1 - x2 is a unit, so j = 1 and a_1 alone
+    # carries the construction.
     poly = invertible_difference_construct(QI, QJ, 3)
     assert poly == Polynomial.from_coefficients(
         HH, [HH.zero, HH.one, HH.zero, HH.one]
     )
     assert HH.is_zero(poly.evaluate(QI))
     assert HH.is_zero(poly.evaluate(QJ))
+    # (x - 2)(x - 5)(x + 7) over Q, and x^4 + x over F_7, which kills 3 and 5
+    assert invertible_difference_construct(Fraction(2), Fraction(5), 3) == (
+        Polynomial.from_coefficients(RAT, [70, -39, 0, 1]))
+    assert invertible_difference_construct(F7.element(3), F7.element(5), 4) == (
+        Polynomial.from_coefficients(ScalarRing(F7), [0, 1, 0, 0, 1]))
+    rng = random.Random(29)
+    for ring in (RAT, ScalarRing(F7), HH):
+        for n in range(2, 6):
+            x1, x2 = rand_element(rng, ring), rand_element(rng, ring)
+            if x1 != x2:
+                assert invertible_difference_construct(x1, x2, n) == reference_direct(x1, x2, n)
 
 
 def test_direct_quadratic_matches_unique_solution():

@@ -15,7 +15,7 @@ from ringroots import (
     enumerate_ring,
     quadratic_existence,
 )
-from ringroots import oracle
+from ringroots import matrices, oracle
 from ringroots.existence import MAX_DEGREE
 from ringroots.oracle import MAX_CROSS_CHECK_WORK, MAX_ENUMERATION
 
@@ -223,3 +223,22 @@ def test_brute_force_matches_unhoisted_reference(ring, n, pairs):
         result = brute_force_exists(x1, x2, n, ring)
         got = (result.exists, result.count, result.coefficients, result.a0)
         assert got == _reference_brute_force(x1, x2, n, ring)
+
+
+def test_brute_force_builds_no_power_from_the_criterion_kernel(monkeypatch):
+    # The oracle referees the criterion, so its powers come from
+    # `Ring.powers` (Matrix products), never from the criterion's int
+    # ladder kernel: with that kernel broken the search answers the same.
+    rng = random.Random("oracle-ladders")
+    cases = []
+    for ring, n in ((MatrixRing(2, F3), 2), (M2F2, 3)):
+        elements = list(enumerate_ring(ring))
+        cases += [(*rng.sample(elements, 2), n, ring) for _ in range(10)]
+    expected = [brute_force_exists(*case) for case in cases]
+
+    def broken(*args):
+        raise AssertionError("the oracle read matrices._power_rows")
+
+    monkeypatch.setattr(matrices, "_power_rows", broken)
+    assert [brute_force_exists(*case) for case in cases] == expected
+    assert any(result.exists for result in expected)
