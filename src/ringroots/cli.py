@@ -73,13 +73,23 @@ class JobSpec:
     n: int | None
 
 
+def _decode_json(text: str):
+    """The value of the JSON `text`, or ParseError for bad JSON, an integer
+    over the digit limit (both ValueError), or arrays or objects nested too
+    deeply to decode (RecursionError)."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(str(exc)) from exc
+
+
 def _read_document(args):
     if args.input:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
     else:
         text = sys.stdin.read()
-    return json.loads(text)
+    return _decode_json(text)
 
 
 def _decode_elements(ring, document, minimum=1, exactly=None):
@@ -176,11 +186,7 @@ def cmd_construct(job: JobSpec, args) -> int:
 def _criterion_with_override(job: JobSpec, report: CriterionReport, a1_json) -> CriterionReport:
     """Replace the solver's a1 with a user-supplied one, if it satisfies
     the coefficient equation."""
-    ring = job.ring
-    try:
-        a1 = ring.element_from_json(json.loads(a1_json))
-    except ValueError as exc:  # bad JSON, or an integer literal over the digit limit
-        raise ParseError(str(exc)) from exc
+    a1 = job.ring.element_from_json(_decode_json(a1_json))
     a0 = constant_term((a1,), job.elements[0], job.elements[1], 2)
     return replace(report, coefficients=(a1,), a0=a0)
 
@@ -301,9 +307,8 @@ def _run(argv) -> int:
 
     try:
         document = _read_document(args)
-    # ValueError: bad JSON or UTF-8, or an integer over the digit limit;
-    # RecursionError: arrays or objects nested too deeply to decode
-    except (OSError, ValueError, RecursionError) as exc:
+    # ValueError: input that is not UTF-8; ParseError: see _decode_json
+    except (OSError, ValueError, ParseError) as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return EX_PARSE
 

@@ -1,5 +1,7 @@
-"""Shared fixtures: the regression pairs and seeded random generators."""
+"""Shared fixtures: the regression pairs, seeded random generators and the CLI runner."""
 
+import io
+import json
 from fractions import Fraction
 
 from ringroots import (
@@ -23,6 +25,7 @@ from ringroots import (
     infer_ring,
     rref,
 )
+from ringroots.cli import main
 
 QQ = RationalField()
 F2 = PrimeField(2)
@@ -38,6 +41,16 @@ HH = QuaternionRing()
 QI = Quaternion(0, 1)
 QJ = Quaternion(0, 0, 1)
 QK = Quaternion(0, 0, 0, 1)
+
+
+def run_cli(monkeypatch, capsys, argv, document=None, text=None):
+    """(exit code, stdout, stderr) of `ringroots argv` in process, `document` or `text` on stdin."""
+    if document is not None:
+        text = json.dumps(document)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text or ""))
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 def nilpotent_shift_pair():

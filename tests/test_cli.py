@@ -1,30 +1,21 @@
 """End-to-end CLI behaviour: JSON in, JSON out, exit-code contract."""
 
-import io
 import json
 import subprocess
 import sys
 
+import hypothesis
 import pytest
+from hypothesis import strategies as st
 
 from ringroots import Polynomial, QuaternionRing, cli
-from ringroots.cli import main
 from ringroots.scalars import MAX_MODULUS
 
-from helpers import HH
+from helpers import HH, run_cli
 
 QUAT_RING = {"kind": "quaternion"}
 MAT2_RING = {"kind": "matrix", "k": 2, "field": {"kind": "rational"}}
 MAT3_RING = {"kind": "matrix", "k": 3, "field": {"kind": "rational"}}
-
-
-def run_cli(monkeypatch, capsys, argv, document=None, text=None):
-    if document is not None:
-        text = json.dumps(document)
-    monkeypatch.setattr("sys.stdin", io.StringIO(text or ""))
-    code = main(argv)
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 def test_construct_two_quaternions(monkeypatch, capsys):
@@ -435,6 +426,16 @@ def test_deeply_nested_document_exits_64(monkeypatch, capsys):
     assert out == ""
     assert "Traceback" not in err
 
+
+def test_deeply_nested_a1_exits_64(monkeypatch, capsys):
+    doc = {"ring": MAT2_RING, "elements": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]}
+    argv = ["quadratic", "--a1", "[" * 5000 + "]" * 5000]
+    code, out, err = run_cli(monkeypatch, capsys, argv, doc)
+    assert code == 64
+    assert out == ""
+    assert "internal error" not in err and "Traceback" not in err
+
+
 def test_unexpected_exception_exits_70(monkeypatch, capsys):
     def broken(job, args):
         raise RuntimeError("boom")
@@ -463,3 +464,85 @@ def test_modulus_over_the_limit_exits_65(monkeypatch, capsys):
     assert code == 65
     assert out == ""
     assert str(MAX_MODULUS) in err
+
+
+FIELDS = [{"kind": "rational"}, {"kind": "prime", "p": 2}, {"kind": "prime", "p": 3}]
+RATIONAL_LITERALS = st.one_of(st.integers(-5, 5), st.sampled_from(["1/2", "-3/4", "0.25", "1e-3"]))
+BAD_SCALARS = st.sampled_from([True, None, 1.5, "1/0", "x", "1//2", "", "1e", "nan", [[1]], {}])
+BAD_RINGS = st.sampled_from([
+    "quaternion", {"kind": "quaternion"}, {"kind": "octonion"}, {"kind": "field"},
+    {"kind": "matrix", "k": 0, "field": FIELDS[0]}, {"kind": "matrix", "k": True, "field": FIELDS[0]},
+    {"kind": "field", "field": {"kind": "prime", "p": 4}},
+    {"kind": "field", "field": {"kind": "prime", "p": True}},
+    {"kind": "matrix", "k": 1, "field": {"kind": "prime", "p": MAX_MODULUS + 2}},
+])
+DEGREES = st.one_of(st.integers(-1, 4), st.sampled_from([65, True, "3", 2.0, None]))
+DEEP = "[" * 5000 + "]" * 5000
+
+
+@st.composite
+def cli_inputs(draw):
+    """(argv, stdin) for one of the five subcommands: a document of the
+    command's shape over a random ring, with at most one fault of a kind the
+    wire format rejects.  Cross-checks take M_1(F_p), whose censuses run in
+    milliseconds; the M_2 censuses are pinned in test_pins."""
+    command = draw(st.sampled_from(["construct", "quadratic", "degree-n", "verify", "cross-check"]))
+    fault = draw(st.none() | st.sampled_from(["ring", "scalar", "ragged", "missing", "n", "nested"]))
+    field = draw(st.sampled_from(FIELDS))
+    ring = {"kind": "matrix", "k": draw(st.integers(1, 3)), "field": field}
+    if command == "cross-check":
+        ring = {"kind": "matrix", "k": 1, "field": draw(st.sampled_from(FIELDS[1:]))}
+    elif command in ("construct", "verify"):
+        ring = draw(st.sampled_from([{"kind": "quaternion"}, {"kind": "field", "field": field}, ring]))
+    good = st.integers(-9, 9) if ring.get("field", FIELDS[0])["kind"] == "prime" else RATIONAL_LITERALS
+    scalar = st.one_of(good, BAD_SCALARS) if fault == "scalar" else good
+
+    def element():
+        if ring["kind"] == "quaternion":
+            return [draw(scalar) for _ in range(4 if fault != "ragged" else draw(st.integers(0, 5)))]
+        if ring["kind"] == "field":
+            return draw(scalar)
+        k = ring["k"]
+        size = st.integers(0, k + 1) if fault == "ragged" else st.just(k)
+        return [[draw(scalar) for _ in range(draw(size))] for _ in range(draw(size))]
+
+    def elements(low, high):
+        return [element() for _ in range(draw(st.integers(low, high)))]
+
+    argv = [command]
+    if command == "verify":
+        doc = {"polynomial": {"ring": ring, "coefficients": elements(1, 4)}, "elements": elements(1, 3)}
+    elif command == "cross-check":
+        doc = {"ring": ring}
+    else:
+        doc = {"ring": ring, "elements": elements(1, 4) if command == "construct" else elements(2, 2)}
+    if command == "construct":
+        argv += draw(st.sampled_from([[], ["--trace"], ["--verify"], ["--exact-degree", "--trace"]]))
+    if command in ("degree-n", "cross-check"):
+        n = draw(DEGREES if fault == "n" else st.integers(2, 3))
+        if draw(st.booleans()):
+            argv += ["--n", str(n)]
+        else:
+            doc["n"] = n
+    if command == "quadratic":
+        a1 = draw(st.sampled_from([None, json.dumps(element()), "{not json", DEEP]))
+        argv += [] if a1 is None else ["--a1", a1]
+    if fault == "ring":
+        (doc["polynomial"] if command == "verify" else doc)["ring"] = draw(BAD_RINGS)
+    if fault == "missing":
+        target = doc["polynomial"] if command == "verify" and draw(st.booleans()) else doc
+        del target[draw(st.sampled_from(sorted(target)))]
+    text = json.dumps(doc)
+    return argv, "[" * 5000 + text + "]" * 5000 if fault == "nested" else text
+
+
+@hypothesis.settings(max_examples=150, deadline=None, database=None, derandomize=True,
+                     suppress_health_check=[hypothesis.HealthCheck.function_scoped_fixture])
+@hypothesis.given(cli_inputs())
+def test_generated_inputs_end_in_a_documented_exit_code(monkeypatch, capsys, inputs):
+    # run_cli patches stdin afresh and drains the capture on every call, so
+    # one instance of each fixture serves every example.
+    argv, text = inputs
+    code, _, err = run_cli(monkeypatch, capsys, argv, text=text)
+    assert code in (0, 1, 2, 3, 64, 65), err
+    assert "internal error" not in err and "Traceback" not in err

@@ -10,7 +10,8 @@ import shlex
 from pathlib import Path
 
 import ringroots
-from ringroots.cli import main
+
+from helpers import run_cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -80,16 +81,15 @@ def test_readme_cli_examples_print_their_recorded_output(monkeypatch, capsys):
     examples = _cli_examples()
     assert [argv for _, argv in examples] == [argv for argv, _, _ in CLI_EXAMPLES]
     for (document, argv), (_, code, expected) in zip(examples, CLI_EXAMPLES):
-        monkeypatch.setattr("sys.stdin", io.StringIO(document + "\n"))  # echo's newline
-        assert main(argv) == code, argv
-        captured = capsys.readouterr()
+        got, out, err = run_cli(monkeypatch, capsys, argv, text=document + "\n")  # echo's newline
+        assert got == code, argv
         if expected.startswith("sha256:"):
-            assert len(captured.out) == 29664
-            assert "sha256:" + hashlib.sha256(captured.out.encode()).hexdigest() == expected
-            assert captured.err == CROSS_CHECK_SUMMARY
+            assert len(out) == 29664
+            assert "sha256:" + hashlib.sha256(out.encode()).hexdigest() == expected
+            assert err == CROSS_CHECK_SUMMARY
         else:
-            assert captured.out == expected, argv
-            assert captured.err == ""
+            assert out == expected, argv
+            assert err == ""
 
 
 def test_every_exported_name_resolves():
