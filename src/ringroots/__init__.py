@@ -1,98 +1,78 @@
 """Exact arithmetic for polynomials with prescribed right roots over
 non-commutative rings: matrix rings over the rationals or a prime field,
-and rational quaternions."""
+and rational quaternions.
+
+Importing the package loads only the error classes.  Every other public
+name is listed in ``_SUBMODULES`` with the submodule that defines it,
+and the first access of the name imports that submodule (PEP 562) and
+keeps the value in the package's namespace.  So ``construct_with_roots``
+loads the quaternion and matrix layers but neither the existence
+criteria nor the brute-force oracle.  The result records
+(``CriterionReport``, ``ConstructionTrace`` and the others) are
+named tuples: fields by name or position, ``_replace`` and ``_asdict``.
+"""
 
 from fractions import Fraction
 
-from .construct import (
-    BRANCH_ALREADY_ROOT,
-    BRANCH_CONJUGATE,
-    BRANCH_FAILED,
-    BRANCH_PAD_WITH_X,
-    ConstructionStep,
-    ConstructionTrace,
-    construct_with_roots,
-    verify_roots,
-)
 from .errors import AlgebraError, DomainError, MismatchError, ParseError
-from .existence import (
-    CriterionReport,
-    constant_term,
-    degree_n_existence,
-    invertible_difference_construct,
-    quadratic_existence,
-)
-from .linalg import (
-    RrefResult,
-    StackedSolveOutcome,
-    matrix_inverse,
-    rank,
-    rref,
-    solve_stacked,
-)
-from .matrices import Matrix
-from .oracle import (
-    BruteForceResult,
-    CrossCheckReport,
-    brute_force_exists,
-    cross_check_criterion,
-    enumerate_ring,
-)
-from .polynomials import Polynomial
-from .quaternions import Quaternion
-from .rings import (
-    MatrixRing,
-    QuaternionRing,
-    Ring,
-    ScalarRing,
-    infer_ring,
-    ring_from_json,
-)
-from .scalars import PrimeField, PrimeFieldElement, RationalField, field_from_json
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgebraError",
-    "BRANCH_ALREADY_ROOT",
-    "BRANCH_CONJUGATE",
-    "BRANCH_FAILED",
-    "BRANCH_PAD_WITH_X",
-    "BruteForceResult",
-    "ConstructionStep",
-    "ConstructionTrace",
-    "CriterionReport",
-    "CrossCheckReport",
-    "DomainError",
-    "Fraction",
-    "Matrix",
-    "MatrixRing",
-    "MismatchError",
-    "ParseError",
-    "Polynomial",
-    "PrimeField",
-    "PrimeFieldElement",
-    "Quaternion",
-    "QuaternionRing",
-    "RationalField",
-    "Ring",
-    "RrefResult",
-    "ScalarRing",
-    "StackedSolveOutcome",
-    "brute_force_exists",
-    "constant_term",
-    "construct_with_roots",
-    "cross_check_criterion",
-    "degree_n_existence",
-    "enumerate_ring",
-    "field_from_json",
-    "infer_ring",
-    "invertible_difference_construct",
-    "matrix_inverse",
-    "quadratic_existence",
-    "rank",
-    "ring_from_json",
-    "rref",
-    "solve_stacked",
-    "verify_roots",
-]
+# Public name -> the submodule that defines it.
+_SUBMODULES = {
+    "BRANCH_ALREADY_ROOT": "construct",
+    "BRANCH_CONJUGATE": "construct",
+    "BRANCH_FAILED": "construct",
+    "BRANCH_PAD_WITH_X": "construct",
+    "BruteForceResult": "oracle",
+    "ConstructionStep": "construct",
+    "ConstructionTrace": "construct",
+    "CriterionReport": "existence",
+    "CrossCheckReport": "oracle",
+    "Matrix": "matrices",
+    "MatrixRing": "rings",
+    "Polynomial": "polynomials",
+    "PrimeField": "scalars",
+    "PrimeFieldElement": "scalars",
+    "Quaternion": "quaternions",
+    "QuaternionRing": "rings",
+    "RationalField": "scalars",
+    "Ring": "rings",
+    "RrefResult": "linalg",
+    "ScalarRing": "rings",
+    "StackedSolveOutcome": "linalg",
+    "brute_force_exists": "oracle",
+    "constant_term": "existence",
+    "construct_with_roots": "construct",
+    "cross_check_criterion": "oracle",
+    "degree_n_existence": "existence",
+    "enumerate_ring": "oracle",
+    "field_from_json": "scalars",
+    "infer_ring": "rings",
+    "invertible_difference_construct": "existence",
+    "matrix_inverse": "linalg",
+    "quadratic_existence": "existence",
+    "rank": "linalg",
+    "ring_from_json": "rings",
+    "rref": "linalg",
+    "solve_stacked": "linalg",
+    "verify_roots": "construct",
+}
+
+__all__ = sorted(["AlgebraError", "DomainError", "Fraction", "MismatchError", "ParseError",
+                  *_SUBMODULES])
+
+
+def __getattr__(name):
+    try:
+        submodule = _SUBMODULES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f".{submodule}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_SUBMODULES})

@@ -27,13 +27,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .construct import construct_with_roots, verify_roots
 from .errors import DomainError, MismatchError, ParseError
 from .existence import (MAX_DEGREE, CriterionReport, constant_term, degree_n_existence,
                          quadratic_existence)
-from .oracle import cross_check_criterion
 from .polynomials import Polynomial
 from .rings import MatrixRing, Ring, ring_from_json
 
@@ -62,8 +61,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass
-class JobSpec:
+class JobSpec(NamedTuple):
     """Decoded input document for one command."""
 
     command: str
@@ -188,7 +186,7 @@ def _criterion_with_override(job: JobSpec, report: CriterionReport, a1_json) -> 
     the coefficient equation."""
     a1 = job.ring.element_from_json(_decode_json(a1_json))
     a0 = constant_term((a1,), job.elements[0], job.elements[1], 2)
-    return replace(report, coefficients=(a1,), a0=a0)
+    return report._replace(coefficients=(a1,), a0=a0)
 
 
 def _require_matrix_ring(job: JobSpec):
@@ -229,6 +227,8 @@ def cmd_cross_check(job: JobSpec, args) -> int:
     _require_matrix_ring(job)
     if job.n is None:
         raise ParseError("cross-check needs --n or an 'n' entry in the document")
+    from .oracle import cross_check_criterion  # only this command loads the oracle
+
     report = cross_check_criterion(job.ring, job.n)
     for record in report.to_json_lines():
         print(json.dumps(record, separators=(",", ":")))

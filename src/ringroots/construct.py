@@ -22,9 +22,9 @@ coefficients, made a `Polynomial` once the referee has passed them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from math import gcd
+from typing import NamedTuple
 
 from . import quaternions
 from .errors import DomainError
@@ -37,8 +37,7 @@ BRANCH_PAD_WITH_X = "pad_with_x"
 BRANCH_FAILED = "failed"
 
 
-@dataclass(frozen=True)
-class ConstructionStep:
+class ConstructionStep(NamedTuple):
     """One step of the recursion.
 
     `index` is the position (0-based) of the root being folded in;
@@ -52,8 +51,7 @@ class ConstructionStep:
     conjugated_root: object = None
 
 
-@dataclass(frozen=True)
-class ConstructionTrace:
+class ConstructionTrace(NamedTuple):
     ring: Ring
     steps: tuple[ConstructionStep, ...]
     result: Polynomial | None

@@ -29,10 +29,10 @@ that did not compute it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 from operator import mul
+from typing import NamedTuple
 
 from .construct import _assert_annihilates
 from .errors import DomainError, MismatchError
@@ -47,8 +47,7 @@ from .rings import MatrixRing, Ring, infer_ring
 MAX_DEGREE = 64
 
 
-@dataclass(frozen=True)
-class CriterionReport:
+class CriterionReport(NamedTuple):
     """Outcome of an existence test for a fixed degree n.
 
     `coefficients` holds (a1, ..., a_{n-1}) with free variables set to

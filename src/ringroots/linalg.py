@@ -12,23 +12,21 @@ particular solution off the pivot rows, with no RREF matrix built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from math import lcm
+from typing import NamedTuple
 
 from .errors import MismatchError
 from .matrices import Matrix, _trusted
 
 
-@dataclass(frozen=True)
-class RrefResult:
+class RrefResult(NamedTuple):
     rref: Matrix
     rank: int
     pivot_columns: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class StackedSolveOutcome:
+class StackedSolveOutcome(NamedTuple):
     """Result of solving sum_j X_j * A_j = B: one particular matrix per
     unknown block, the ranks of [A_1^T | ... | A_m^T] and of it with B^T
     appended, and `nullspace_dim`, the free field parameters of the

@@ -30,7 +30,7 @@ from __future__ import annotations
 from math import gcd, lcm
 from operator import add, mul, sub
 
-from .errors import MismatchError, ParseError
+from .errors import MismatchError, ParseError, _echo
 
 
 class Matrix:
@@ -45,7 +45,7 @@ class Matrix:
                 raise MismatchError("ragged rows; all rows must share one length")
             for e in row:
                 if not field.contains(e):
-                    raise MismatchError(f"entry {e!r} is not an element of {field!r}")
+                    raise MismatchError(f"entry {_echo(e)} is not an element of {field!r}")
         self.field = field
         self._rows, self._den = field.encode(rows)
 
@@ -145,7 +145,7 @@ class Matrix:
         if not isinstance(obj, (list, tuple)) or not all(
             isinstance(row, (list, tuple)) for row in obj
         ):
-            raise ParseError(f"a matrix encodes as an array of row arrays, got {obj!r}")
+            raise ParseError(f"a matrix encodes as an array of row arrays, got {_echo(obj)}")
         try:
             return cls.from_rows(field, obj)
         except MismatchError as exc:

@@ -9,8 +9,8 @@ be tried, and `cross_check_criterion` compares that search with
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 from .construct import _assert_annihilates
 from .errors import DomainError
@@ -78,8 +78,7 @@ def enumerate_ring(ring: Ring) -> tuple[Matrix, ...]:
     return tuple(_element(ring, rows, index) for index in range(size))
 
 
-@dataclass(frozen=True)
-class BruteForceResult:
+class BruteForceResult(NamedTuple):
     coefficients: tuple[Matrix, ...] | None
     a0: Matrix | None
     count: int
@@ -140,8 +139,7 @@ def brute_force_exists(x1: Matrix, x2: Matrix, n: int, ring: MatrixRing) -> Brut
     return BruteForceResult(witness, a0, count)
 
 
-@dataclass(frozen=True)
-class PairRecord:
+class PairRecord(NamedTuple):
     x1: Matrix
     x2: Matrix
     criterion_exists: bool
@@ -152,11 +150,10 @@ class PairRecord:
     def to_json(self, ring: MatrixRing) -> dict:
         """The fields in declaration order, with both roots encoded."""
         encoded = {"x1": ring.element_to_json(self.x1), "x2": ring.element_to_json(self.x2)}
-        return {**vars(self), **encoded}
+        return {**self._asdict(), **encoded}
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(NamedTuple):
     ring: MatrixRing
     n: int
     records: tuple[PairRecord, ...]

@@ -9,7 +9,7 @@ means right root: P(a) = 0, equivalently (x - a) right-divides P.
 
 from __future__ import annotations
 
-from .errors import DomainError, MismatchError, ParseError
+from .errors import DomainError, MismatchError, ParseError, _echo
 from .rings import Ring, ring_from_json
 
 
@@ -134,7 +134,7 @@ class Polynomial:
     @classmethod
     def from_json(cls, obj, ring: Ring | None = None) -> "Polynomial":
         if not isinstance(obj, dict) or "coefficients" not in obj:
-            raise ParseError(f"bad polynomial encoding: {obj!r}")
+            raise ParseError(f"bad polynomial encoding: {_echo(obj)}")
         if ring is None:
             if "ring" not in obj:
                 raise ParseError("polynomial encoding carries no ring descriptor")

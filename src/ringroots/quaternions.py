@@ -30,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import ParseError
+from .errors import ParseError, _echo
 from .scalars import parse_rational
 
 
@@ -180,7 +180,7 @@ class Quaternion:
     @classmethod
     def from_json(cls, obj) -> "Quaternion":
         if not isinstance(obj, list) or len(obj) != 4:
-            raise ParseError(f"a quaternion encodes as [a, b, c, d], got {obj!r}")
+            raise ParseError(f"a quaternion encodes as [a, b, c, d], got {_echo(obj)}")
         return cls(*obj)
 
     def __repr__(self):

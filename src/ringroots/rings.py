@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from . import linalg, matrices, quaternions
-from .errors import DomainError, MismatchError, ParseError
+from .errors import DomainError, MismatchError, ParseError, _echo
 from .matrices import Matrix
 from .quaternions import ONE, ZERO, Quaternion
 from .scalars import (
@@ -44,7 +44,7 @@ class Ring:
 
     def check(self, x):
         if not self.contains(x):
-            raise MismatchError(f"{x!r} is not an element of {self!r}")
+            raise MismatchError(f"{_echo(x)} is not an element of {self!r}")
         return x
 
     def element(self, value):
@@ -212,7 +212,7 @@ class QuaternionRing(Ring):
             return value
         if isinstance(value, (list, tuple)):
             return Quaternion.from_json(list(value))
-        raise ParseError(f"cannot interpret {value!r} as a quaternion")
+        raise ParseError(f"cannot interpret {_echo(value)} as a quaternion")
 
     def invert(self, a):
         self.check(a)
@@ -236,18 +236,18 @@ class QuaternionRing(Ring):
 
 def ring_from_json(obj) -> Ring:
     if not isinstance(obj, dict) or "kind" not in obj:
-        raise ParseError(f"bad ring descriptor: {obj!r}")
+        raise ParseError(f"bad ring descriptor: {_echo(obj)}")
     kind = obj["kind"]
     if kind == "field":
         return ScalarRing(field_from_json(obj.get("field")))
     if kind == "matrix":
         k = obj.get("k")
         if type(k) is not int or k < 1:  # bool is an int subclass; JSON true is not
-            raise ParseError(f"matrix ring descriptor needs an integer 'k' >= 1: {obj!r}")
+            raise ParseError(f"matrix ring descriptor needs an integer 'k' >= 1: {_echo(obj)}")
         return _matrix_ring(k, field_from_json(obj.get("field")))
     if kind == "quaternion":
         return QuaternionRing()
-    raise ParseError(f"unknown ring kind {kind!r}")
+    raise ParseError(f"unknown ring kind {_echo(kind)}")
 
 
 def infer_ring(payload) -> Ring:
@@ -262,4 +262,4 @@ def infer_ring(payload) -> Ring:
         if not payload.is_square():
             raise MismatchError("only square matrices are ring elements")
         return _matrix_ring(payload.nrows, payload.field)
-    raise MismatchError(f"{payload!r} is not an element of any supported ring")
+    raise MismatchError(f"{_echo(payload)} is not an element of any supported ring")

@@ -22,7 +22,7 @@ from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
 
-from .errors import DomainError, MismatchError, ParseError
+from .errors import DomainError, MismatchError, ParseError, _echo
 
 # Miller-Rabin with the first 13 primes as bases is exact below
 # 3317044064679887385961981, the least strong pseudoprime to all of them
@@ -66,12 +66,12 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if not isinstance(value, str):
-        raise ParseError(f"cannot interpret {value!r} as a rational")
+        raise ParseError(f"cannot interpret {_echo(value)} as a rational")
     _check_exponent(value)
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational literal {value!r}") from exc
+        raise ParseError(f"bad rational literal {_echo(value)}") from exc
 
 
 def _check_exponent(text: str):
@@ -250,7 +250,7 @@ class PrimeField:
             return value
         if isinstance(value, int) and not isinstance(value, bool):
             return PrimeFieldElement(value, self.p)
-        raise ParseError(f"cannot interpret {value!r} as an element of F_{self.p}")
+        raise ParseError(f"cannot interpret {_echo(value)} as an element of F_{self.p}")
 
     def invert(self, x: PrimeFieldElement):
         return None if x.residue == 0 else x.inverse()
@@ -292,13 +292,13 @@ class PrimeField:
 
 def field_from_json(obj) -> RationalField | PrimeField:
     if not isinstance(obj, dict) or "kind" not in obj:
-        raise ParseError(f"bad field descriptor: {obj!r}")
+        raise ParseError(f"bad field descriptor: {_echo(obj)}")
     kind = obj["kind"]
     if kind == "rational":
         return RationalField()
     if kind == "prime":
         p = obj.get("p")
         if type(p) is not int:  # bool is an int subclass; JSON true is not
-            raise ParseError(f"prime field descriptor needs an integer 'p': {obj!r}")
+            raise ParseError(f"prime field descriptor needs an integer 'p': {_echo(obj)}")
         return PrimeField(p)
-    raise ParseError(f"unknown field kind {kind!r}")
+    raise ParseError(f"unknown field kind {_echo(kind)}")

@@ -1,17 +1,24 @@
 """End-to-end CLI behaviour: JSON in, JSON out, exit-code contract."""
 
+import inspect
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import hypothesis
 import pytest
 from hypothesis import strategies as st
 
+import ringroots
 from ringroots import Polynomial, QuaternionRing, cli
+from ringroots.errors import _echo
 from ringroots.scalars import MAX_MODULUS
 
 from helpers import HH, run_cli
+
+_SRC = str(Path(ringroots.__file__).resolve().parents[1])
 
 QUAT_RING = {"kind": "quaternion"}
 MAT2_RING = {"kind": "matrix", "k": 2, "field": {"kind": "rational"}}
@@ -436,6 +443,95 @@ def test_deeply_nested_a1_exits_64(monkeypatch, capsys):
     assert "internal error" not in err and "Traceback" not in err
 
 
+# Documents with one raw value nested `%s` lists deep, each at a site whose
+# ParseError echoes that value.
+NESTED_SITES = {
+    "matrix-entry": (["construct"], '{"ring": {"kind": "matrix", "k": 1, "field": {"kind": "rational"}},'
+                                    ' "elements": [[[%s]]]}'),
+    "prime-entry": (["construct"], '{"ring": {"kind": "matrix", "k": 1, "field": {"kind": "prime", "p": 3}},'
+                                   ' "elements": [[[%s]]]}'),
+    "quaternion": (["construct"], '{"ring": {"kind": "quaternion"}, "elements": [%s]}'),
+    "ring-kind": (["construct"], '{"ring": {"kind": %s}, "elements": [1]}'),
+    "field": (["construct"], '{"ring": {"kind": "matrix", "k": 1, "field": %s}, "elements": [[[1]]]}'),
+    "polynomial": (["verify"], '{"polynomial": %s, "elements": [1]}'),
+}
+# Longest stderr a rejected nested document may produce.
+MAX_ECHO_STDERR = 400
+
+
+def _nested(depth):
+    return "[" * depth + "]" * depth
+
+
+def _decoder_limit(template):
+    """The least depth at which json.loads refuses `template` at this stack depth."""
+    low, high = 1, 1
+    while True:
+        try:
+            json.loads(template % _nested(high))
+        except RecursionError:
+            break
+        low, high = high, high * 2
+    while high - low > 1:
+        mid = (low + high) // 2
+        try:
+            json.loads(template % _nested(mid))
+            low = mid
+        except RecursionError:
+            high = mid
+    return high
+
+
+@pytest.mark.parametrize("site", sorted(NESTED_SITES))
+def test_values_nested_near_the_decoder_limit_exit_64(monkeypatch, capsys, site):
+    argv, template = NESTED_SITES[site]
+    decoded = refused = 0
+    # main() decodes a few frames deeper than the probe, so the depths just
+    # short of its own limit lie below the probe's.
+    limit = _decoder_limit(template)
+    for depth in range(limit - 24, limit + 3):
+        code, out, err = run_cli(monkeypatch, capsys, argv, text=template % _nested(depth))
+        assert (code, out) == (64, ""), (depth, err[:200])
+        assert len(err) < MAX_ECHO_STDERR, depth
+        refused += "cannot read input" in err
+        decoded += "cannot read input" not in err
+    assert decoded and refused  # the window straddles the decoder's limit
+
+
+# Raw values whose repr is under 80 characters: a message echoes each as
+# repr prints it.
+SHORT_VALUES = [
+    None, True, -1.5e-300, "", "x" * 70, "it's", 10**70, [], {},
+    [0] * 26, [[0] * 12, [1] * 12], eval("[" * 39 + "1" + "]" * 39),
+    {"kind": "matrix", "k": 0, "field": {"kind": "rational"}},
+    {"z": 1, "a": [None, "b"], "m": {"q": {}}}, {str(i): i for i in range(9)},
+]
+
+
+@pytest.mark.parametrize("value", SHORT_VALUES)
+def test_messages_echo_short_values_as_repr_does(value):
+    assert len(repr(value)) < 80
+    assert _echo(value) == repr(value)
+
+
+def test_values_nested_near_the_decoder_limit_exit_64_under_python_m():
+    argv, template = NESTED_SITES["matrix-entry"]
+    # the same probe, run at the top of a fresh interpreter's stack
+    probe = "\n".join(["import json, sys", inspect.getsource(_nested), inspect.getsource(_decoder_limit),
+                       "print(_decoder_limit(sys.argv[1]))"])
+    limit = int(subprocess.run([sys.executable, "-c", probe, template], capture_output=True,
+                               text=True, check=True, timeout=60).stdout)
+    env = {**os.environ, "PYTHONPATH": _SRC}
+    outcomes = set()
+    for depth in range(limit - 16, limit + 2):
+        proc = subprocess.run([sys.executable, "-m", "ringroots", *argv], input=template % _nested(depth),
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout) == (64, ""), (depth, proc.stderr[:200])
+        assert len(proc.stderr) < MAX_ECHO_STDERR, depth
+        outcomes.add("cannot read input" in proc.stderr)
+    assert outcomes == {True, False}
+
+
 def test_unexpected_exception_exits_70(monkeypatch, capsys):
     def broken(job, args):
         raise RuntimeError("boom")
@@ -478,6 +574,11 @@ BAD_RINGS = st.sampled_from([
 ])
 DEGREES = st.one_of(st.integers(-1, 4), st.sampled_from([65, True, "3", 2.0, None]))
 DEEP = "[" * 5000 + "]" * 5000
+# A scalar the "nested" fault replaces, in the document's text, by lists
+# nested to a depth near the decoder's limit, on either side of it.
+NESTED = "<nested>"
+_LIMIT = _decoder_limit("[%s]")
+NEAR_DECODER_LIMIT = st.integers(_LIMIT - 40, _LIMIT + 8)
 
 
 @st.composite
@@ -495,7 +596,7 @@ def cli_inputs(draw):
     elif command in ("construct", "verify"):
         ring = draw(st.sampled_from([{"kind": "quaternion"}, {"kind": "field", "field": field}, ring]))
     good = st.integers(-9, 9) if ring.get("field", FIELDS[0])["kind"] == "prime" else RATIONAL_LITERALS
-    scalar = st.one_of(good, BAD_SCALARS) if fault == "scalar" else good
+    scalar = {"scalar": st.one_of(good, BAD_SCALARS), "nested": st.one_of(good, st.just(NESTED))}.get(fault, good)
 
     def element():
         if ring["kind"] == "quaternion":
@@ -533,7 +634,10 @@ def cli_inputs(draw):
         target = doc["polynomial"] if command == "verify" and draw(st.booleans()) else doc
         del target[draw(st.sampled_from(sorted(target)))]
     text = json.dumps(doc)
-    return argv, "[" * 5000 + text + "]" * 5000 if fault == "nested" else text
+    if fault == "nested":
+        depth, marker = draw(NEAR_DECODER_LIMIT), json.dumps(NESTED)
+        text = text.replace(marker, _nested(depth)) if marker in text else "[" * depth + text + "]" * depth
+    return argv, text
 
 
 @hypothesis.settings(max_examples=150, deadline=None, database=None, derandomize=True,
@@ -546,3 +650,4 @@ def test_generated_inputs_end_in_a_documented_exit_code(monkeypatch, capsys, inp
     code, _, err = run_cli(monkeypatch, capsys, argv, text=text)
     assert code in (0, 1, 2, 3, 64, 65), err
     assert "internal error" not in err and "Traceback" not in err
+    assert len(err) < MAX_ECHO_STDERR

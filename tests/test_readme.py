@@ -99,3 +99,4 @@ def test_every_exported_name_resolves():
     namespace = {}
     exec("from ringroots import *", namespace)
     assert set(ringroots.__all__) <= namespace.keys()
+    assert set(ringroots.__all__) <= set(dir(ringroots))

@@ -1,5 +1,7 @@
 """The runtime needs nothing outside the standard library: every absolute
-import in the package names a standard-library module."""
+import in the package names a standard-library module, and none names
+`dataclasses`, whose import (with `inspect`) would cost every process
+more start-up time than a small job takes."""
 
 import ast
 import sys
@@ -22,3 +24,9 @@ def test_every_absolute_import_is_in_the_standard_library():
     outside = [(path.name, name) for path in files for name in _absolute_imports(path)
                if name.partition(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_no_module_imports_dataclasses():
+    users = [path.name for path in sorted(PACKAGE.glob("*.py"))
+             if any(name.partition(".")[0] == "dataclasses" for name in _absolute_imports(path))]
+    assert users == []
