@@ -7,7 +7,9 @@ gcd(``_den``, all numerators) = 1.  So equal matrices have equal
 payloads, and ``==``, ``hash`` and ``bool`` work on the ints, as for
 ``Quaternion``.  The arithmetic is the same for both fields; the field
 descriptor supplies the rest (see ``scalars``).  Field elements are
-built only by the ``entries`` view and JSON output.
+built only by the ``entries`` view; JSON goes in and out on the ints,
+through the field's ``decode`` and ``encode`` (over Q one lcm and one
+gcd per matrix in, one gcd per entry out, no ``Fraction``).
 
 Polynomial evaluation runs ``_values``: for each point, one Horner loop
 on the int rows over a common denominator, for both fields, with one
@@ -18,11 +20,11 @@ beside it, ``_power_rows``; the oracle's come from ``Ring.powers``, one
 ``Matrix`` product at a time, independent of that kernel.
 
 Entries from outside are validated once, at the boundary:
-``Matrix(...)``, ``from_rows`` and ``from_json`` check every entry
-against the field, and ring descriptors check membership of whole
-matrices.  Shapes are checked on every operation; a mismatch raises
-instead of broadcasting.  Non-square shapes appear only inside the
-linear-algebra routines (the stacked systems that ``rref`` solves).
+``Matrix(...)`` checks every entry against the field, ``from_rows`` and
+``from_json`` decode every entry through it, and ring descriptors check
+membership of whole matrices.  Shapes are checked on every operation; a
+mismatch raises instead of broadcasting.  Non-square shapes appear only
+inside the linear-algebra routines (the stacked systems ``rref`` solves).
 """
 
 from __future__ import annotations
@@ -38,21 +40,21 @@ class Matrix:
 
     def __init__(self, field, entries):
         rows = tuple(tuple(row) for row in entries)
-        _check_size(len(rows), len(rows[0]) if rows else 0)
-        width = len(rows[0])
+        _check_shape(rows)
         for row in rows:
-            if len(row) != width:
-                raise MismatchError("ragged rows; all rows must share one length")
             for e in row:
                 if not field.contains(e):
                     raise MismatchError(f"entry {_echo(e)} is not an element of {field!r}")
         self.field = field
-        self._rows, self._den = field.encode(rows)
+        self._rows, self._den = field.decode(rows)
 
     @classmethod
     def from_rows(cls, field, rows) -> "Matrix":
-        """Build a matrix, coercing each entry through the field."""
-        return cls(field, [[field.element(e) for e in row] for row in rows])
+        """Build a matrix, decoding each entry through the field.  A bad
+        entry raises before a bad shape, as entries are read first."""
+        payload, den = field.decode(rows)
+        _check_shape(payload)
+        return _raw(field, payload, den)
 
     @classmethod
     def identity(cls, field, k: int) -> "Matrix":
@@ -138,7 +140,7 @@ class Matrix:
         return hash((self.field, self._rows, self._den))
 
     def to_json(self):
-        return [[self.field.scalar_to_json(e) for e in row] for row in self.entries]
+        return self.field.encode(self._rows, self._den)
 
     @classmethod
     def from_json(cls, field, obj) -> "Matrix":
@@ -161,12 +163,19 @@ def _check_size(nrows: int, ncols: int):
         raise MismatchError("a matrix needs at least one row and one column")
 
 
+def _check_shape(rows):
+    _check_size(len(rows), len(rows[0]) if rows else 0)
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise MismatchError("ragged rows; all rows must share one length")
+
+
 def _raw(field, rows, den: int) -> Matrix:
     """A matrix over `field` from a payload already canonical: a
     non-empty tuple of equal-length, non-empty int tuples over den.
 
-    Only for results the package computes from validated matrices; input
-    from outside goes through ``Matrix(...)``, which checks every entry.
+    Only for results the package computes from validated matrices and
+    for payloads the field's ``decode`` built; input from outside goes
+    through ``Matrix(...)`` or ``from_rows``.
     """
     m = object.__new__(Matrix)
     m.field = field

@@ -11,8 +11,9 @@ quaternions therefore have equal representations, and ``==`` and
 ``hash`` work on the ints.  Arithmetic runs on the ints and normalises
 each result by a single gcd.  The components ``.a .b .c .d`` are
 read-only ``Fraction`` views, built on access.  Only the public
-constructor and ``from_json`` accept outside values, and they validate
-every component.
+constructor and ``from_json`` accept outside values, decoded to ints
+by ``scalars.decode_rational`` and put over one lcm and one gcd;
+``to_json`` writes the ints back with ``scalars.encode_rational``.
 
 Polynomial evaluation runs ``_values`` (see ``rings.Ring._values``): it
 brings the coefficients over one common denominator once, then takes
@@ -31,7 +32,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import ParseError, _echo
-from .scalars import parse_rational
+from .scalars import decode_rational, encode_rational
 
 
 def _raw(n, den) -> "Quaternion":
@@ -55,12 +56,10 @@ class Quaternion:
     __slots__ = ("_n", "_den")
 
     def __init__(self, a=0, b=0, c=0, d=0):
-        parts = [parse_rational(a), parse_rational(b), parse_rational(c), parse_rational(d)]
-        # Over the lcm of reduced denominators the numerators share no
-        # factor with it, so this is already canonical.
-        den = lcm(*(p.denominator for p in parts))
-        self._n = tuple(p.numerator * (den // p.denominator) for p in parts)
-        self._den = den
+        parts = [decode_rational(a), decode_rational(b), decode_rational(c), decode_rational(d)]
+        den = lcm(*[e for _, e in parts])
+        q = _trusted(*[n * (den // e) for n, e in parts], den)
+        self._n, self._den = q._n, q._den
 
     @property
     def a(self) -> Fraction:
@@ -175,7 +174,8 @@ class Quaternion:
         return hash((self._n, self._den))
 
     def to_json(self):
-        return [str(self.a), str(self.b), str(self.c), str(self.d)]
+        den = self._den
+        return [encode_rational(n, den) for n in self._n]
 
     @classmethod
     def from_json(cls, obj) -> "Quaternion":

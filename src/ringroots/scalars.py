@@ -6,16 +6,20 @@ small wrapper class so that mixed-modulus arithmetic is rejected instead
 of silently recombined.
 
 A ``Matrix`` stores plain ints and its arithmetic is the same for both
-fields; a field descriptor holds only what differs: ``encode`` turns
-validated entries into an int payload, ``normalize`` makes a computed
-payload canonical (a gcd over Q, mod p over F_p), ``reduce_row``
-keeps the rows of the one elimination in ``linalg`` small, and
-``scalar`` builds one element for a reader of the entries.
-``parse_rational`` reads every rational literal from outside.
+fields; a field descriptor holds only what differs: ``decode`` turns
+entries from outside into a canonical int payload and ``encode`` turns
+a payload into JSON rows, ``normalize`` makes a computed payload
+canonical (a gcd over Q, mod p over F_p), ``reduce_row`` keeps the rows
+of the one elimination in ``linalg`` small, and ``scalar`` builds one
+element for a reader of the entries.  ``decode_rational`` reads a
+rational literal from outside and ``encode_rational`` writes one, on
+ints: a plain "n" or "n/d" never becomes a ``Fraction``, and any other
+literal goes to ``parse_rational``, which keeps the language and messages.
 """
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 from functools import cached_property
@@ -72,6 +76,31 @@ def parse_rational(value) -> Fraction:
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational literal {_echo(value)}") from exc
+
+
+_PLAIN = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?").fullmatch  # "n" or "n/d", d != 0
+
+
+def decode_rational(value) -> tuple[int, int]:
+    """(num, den), den > 0 and maybe unreduced, of the rational `value`
+    denotes.  Anything but a plain "n" or "n/d" with digits within the
+    int/str limit (int() raises ValueError) goes to ``parse_rational``,
+    so the language and messages stay its own."""
+    if type(value) is str and (m := _PLAIN(value)):
+        try:
+            return int(m[1]), int(m[2] or 1)
+        except ValueError:
+            pass
+    q = parse_rational(value)
+    return q.numerator, q.denominator
+
+
+def encode_rational(num: int, den: int) -> str:
+    """num/den, den > 0, as ``str(Fraction(num, den))`` prints it."""
+    g = gcd(num, den)
+    if g != 1:
+        num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def _check_exponent(text: str):
@@ -181,13 +210,16 @@ class RationalField:
     def invert(self, x: Fraction):
         return None if x == 0 else 1 / x
 
-    def encode(self, rows) -> tuple[tuple, int]:
-        """(numerator rows, den) of rows of ``Fraction``s, den their least
-        common denominator.  Over the lcm of reduced denominators the
-        numerators share no factor with den, so this is canonical."""
-        den = lcm(*(e.denominator for row in rows for e in row))
-        return tuple(tuple(e.numerator * (den // e.denominator) for e in row)
-                     for row in rows), den
+    def decode(self, rows) -> tuple[tuple, int]:
+        """The canonical (numerator rows, den) of rows of rationals as
+        ``decode_rational`` reads them: one lcm, then one gcd."""
+        rows = [[decode_rational(e) for e in row] for row in rows]
+        den = lcm(*[e for row in rows for _, e in row])
+        return self.normalize(tuple(tuple(n * (den // e) for n, e in row) for row in rows), den)
+
+    def encode(self, rows, den: int) -> list:
+        """JSON rows of the payload (rows, den): "n/d" strings."""
+        return [[encode_rational(a, den) for a in row] for row in rows]
 
     def normalize(self, rows, den: int) -> tuple[tuple, int]:
         """(rows, den) divided by the gcd of den and every numerator."""
@@ -255,9 +287,13 @@ class PrimeField:
     def invert(self, x: PrimeFieldElement):
         return None if x.residue == 0 else x.inverse()
 
-    def encode(self, rows) -> tuple[tuple, int]:
-        """(residue rows, 1) of rows of elements."""
-        return tuple(tuple(e.residue for e in row) for row in rows), 1
+    def decode(self, rows) -> tuple[tuple, int]:
+        """(residue rows, 1) of rows of elements or ints."""
+        return tuple(tuple(self.element(e).residue for e in row) for row in rows), 1
+
+    def encode(self, rows, den: int) -> list:
+        """JSON rows of the payload (rows, 1): the residues."""
+        return [list(row) for row in rows]
 
     def normalize(self, rows, den: int) -> tuple[tuple, int]:
         """(residue rows, 1) of int rows over den, a unit mod p."""

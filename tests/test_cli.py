@@ -240,6 +240,22 @@ def test_verify_accepts_trailing_zeros_above_the_limit(monkeypatch, capsys):
     assert json.loads(out)["all_zero"] is True
 
 
+@pytest.mark.parametrize("zero", ["0", "-0", "0/5", "0.0"])
+@pytest.mark.parametrize("ring, coefficients, element, pad", [
+    (QUAT_RING, [["1", "0", "0", "0"], ["0", "1/2", "0", "0"]], ["0", "0", "1", "0"],
+     lambda z: [z] * 4),
+    (MAT2_RING, [[["1", "0"], ["0", "1"]], [["0", "1/2"], ["0", "0"]]], [["0", "0"], ["1", "0"]],
+     lambda z: [[z, z], [z, z]]),
+], ids=["quaternion", "matrix"])
+def test_verify_padded_above_the_limit_with_spelled_zeros(monkeypatch, capsys, zero, ring,
+                                                         coefficients, element, pad):
+    doc = {"polynomial": {"ring": ring, "coefficients": coefficients}, "elements": [element]}
+    code, plain, _ = run_cli(monkeypatch, capsys, ["verify"], doc)
+    assert code == 1
+    doc["polynomial"]["coefficients"] = coefficients + [pad(zero)] * (cli.MAX_DEGREE + 10)
+    assert run_cli(monkeypatch, capsys, ["verify"], doc) == (1, plain, "")
+
+
 def test_construct_over_max_roots_exits_65(monkeypatch, capsys):
     # one small root repeated: every step after the first takes the
     # already-root (or pad) branch, so 64 roots are quick.
@@ -371,12 +387,12 @@ def test_console_entry_point_runs():
     assert json.loads(proc.stdout)["all_zero"] is False
 
 
-_HAS_DIGIT_LIMIT = hasattr(sys, "get_int_max_str_digits")
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
 
 
-@pytest.mark.skipif(not _HAS_DIGIT_LIMIT, reason="no int/str digit limit in this Python")
+@pytest.mark.skipif(not _DIGIT_LIMIT, reason="no int/str digit limit in force")
 def test_integer_literal_over_digit_limit_exits_64(monkeypatch, capsys):
-    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    digits = "1" * (_DIGIT_LIMIT + 1)
     text = '{"ring": {"kind": "quaternion"}, "elements": [[' + digits + ', 0, 0, 0]]}'
     code, out, err = run_cli(monkeypatch, capsys, ["construct"], text=text)
     assert code == 64
@@ -384,15 +400,34 @@ def test_integer_literal_over_digit_limit_exits_64(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.skipif(not _HAS_DIGIT_LIMIT, reason="no int/str digit limit in this Python")
+@pytest.mark.skipif(not _DIGIT_LIMIT, reason="no int/str digit limit in force")
 def test_result_over_digit_limit_exits_65(monkeypatch, capsys):
-    big = "1" * 3000
+    big = "1" * (_DIGIT_LIMIT * 30 // 43)  # 3000 at the default 4300: within the limit
     doc = {"ring": QUAT_RING, "elements": [[big, "1/" + big, "3", "0"], ["2", big, "0", "1"]]}
     code, out, err = run_cli(monkeypatch, capsys, ["construct"], doc)
     assert code == 65
     assert out == ""
-    assert str(sys.get_int_max_str_digits()) in err
+    assert str(_DIGIT_LIMIT) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.skipif(not _DIGIT_LIMIT, reason="no int/str digit limit in force")
+@pytest.mark.parametrize("form", ["{}", "-{}", "1/{}", "{}/2"])
+@pytest.mark.parametrize("ring, root", [
+    (MAT2_RING, lambda s: [[s, "0"], ["0", "1"]]),
+    (QUAT_RING, lambda s: [s, "0", "0", "0"]),
+], ids=["matrix", "quaternion"])
+def test_string_literal_over_digit_limit_exits_64(monkeypatch, capsys, form, ring, root):
+    # a plain literal one digit over the limit is refused as input, never
+    # taken for a result over it (65); at the limit it is read
+    literal = form.format("7" * (_DIGIT_LIMIT + 1))
+    doc = {"ring": ring, "elements": [root(literal)]}
+    code, out, err = run_cli(monkeypatch, capsys, ["construct"], doc)
+    assert (code, out) == (64, "")
+    assert err == f"error: bad rational literal {_echo(literal)}\n"
+    code, out, _ = run_cli(monkeypatch, capsys, ["construct"],
+                           {"ring": ring, "elements": [root(form.format("7" * _DIGIT_LIMIT))]})
+    assert code == 0 and "7" * _DIGIT_LIMIT in out
 
 
 @pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
