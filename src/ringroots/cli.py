@@ -1,8 +1,9 @@
 """Command-line front end: JSON in, JSON out.
 
-Subcommands: construct, quadratic, degree-n, verify, cross-check.
-The input document comes from --input PATH or stdin; results go to
-stdout, diagnostics to stderr.  Exit codes are a stable contract:
+Subcommands: construct, quadratic, degree-n, verify, cross-check;
+quadratic runs as degree-n at n = 2, plus --a1.  The input document
+comes from --input PATH or stdin; results go to stdout, diagnostics to
+stderr.  Exit codes are a stable contract:
 
     0   success
     1   verification found nonzero residuals / cross-check disagreement
@@ -31,8 +32,7 @@ from typing import NamedTuple
 
 from .construct import construct_with_roots, verify_roots
 from .errors import DomainError, MismatchError, ParseError
-from .existence import (MAX_DEGREE, CriterionReport, constant_term, degree_n_existence,
-                         quadratic_existence)
+from .existence import MAX_DEGREE, constant_term, degree_n_existence
 from .polynomials import Polynomial
 from .rings import MatrixRing, Ring, ring_from_json
 
@@ -133,17 +133,13 @@ def parse_job(command: str, document, n_flag=None) -> JobSpec:
         polynomial = _decode_polynomial(document["polynomial"], ring)
         ring = polynomial.ring
         elements = _decode_elements(ring, document, minimum=1)
+    elif ring is None:
+        raise ParseError(f"{command} needs a 'ring' entry")
     elif command == "cross-check":
-        if ring is None:
-            raise ParseError("cross-check needs a 'ring' entry")
         elements = ()
     elif command in ("quadratic", "degree-n"):
-        if ring is None:
-            raise ParseError(f"{command} needs a 'ring' entry")
         elements = _decode_elements(ring, document, exactly=2)
     else:
-        if ring is None:
-            raise ParseError(f"{command} needs a 'ring' entry")
         raw = document.get("elements")
         if isinstance(raw, list) and len(raw) > MAX_ROOTS:
             raise DomainError(f"{len(raw)} elements are above the limit of {MAX_ROOTS} (MAX_ROOTS)")
@@ -181,33 +177,22 @@ def cmd_construct(job: JobSpec, args) -> int:
     return EX_OK
 
 
-def _criterion_with_override(job: JobSpec, report: CriterionReport, a1_json) -> CriterionReport:
-    """Replace the solver's a1 with a user-supplied one, if it satisfies
-    the coefficient equation."""
-    a1 = job.ring.element_from_json(_decode_json(a1_json))
-    a0 = constant_term((a1,), job.elements[0], job.elements[1], 2)
-    return report._replace(coefficients=(a1,), a0=a0)
-
-
 def _require_matrix_ring(job: JobSpec):
     if not isinstance(job.ring, MatrixRing):
         raise MismatchError(f"{job.command} needs a matrix ring, got {job.ring!r}")
 
 
-def cmd_quadratic(job: JobSpec, args) -> int:
+def cmd_criterion(job: JobSpec, args) -> int:
+    """quadratic and degree-n.  quadratic is degree-n at n = 2, and its
+    --a1 replaces the solver's a1 if it satisfies the coefficient equation."""
     _require_matrix_ring(job)
-    report = quadratic_existence(job.elements[0], job.elements[1])
-    if args.a1 is not None:
-        report = _criterion_with_override(job, report, args.a1)
-    _emit(report.to_json(), args.pretty)
-    return EX_OK if report.exists else EX_NOT_FOUND
-
-
-def cmd_degree_n(job: JobSpec, args) -> int:
-    _require_matrix_ring(job)
-    if job.n is None:
+    n = 2 if job.command == "quadratic" else job.n
+    if n is None:
         raise ParseError("degree-n needs --n or an 'n' entry in the document")
-    report = degree_n_existence(job.elements[0], job.elements[1], job.n)
+    report = degree_n_existence(job.elements[0], job.elements[1], n)
+    if getattr(args, "a1", None) is not None:
+        a1 = job.ring.element_from_json(_decode_json(args.a1))
+        report = report._replace(coefficients=(a1,), a0=constant_term((a1,), *job.elements, 2))
     _emit(report.to_json(), args.pretty)
     return EX_OK if report.exists else EX_NOT_FOUND
 
@@ -215,7 +200,7 @@ def cmd_degree_n(job: JobSpec, args) -> int:
 def cmd_verify(job: JobSpec, args) -> int:
     residuals = verify_roots(job.polynomial, job.elements)
     ring = job.polynomial.ring
-    all_zero = all(ring.is_zero(r) for r in residuals)
+    all_zero = not any(residuals)
     _emit(
         {"residuals": [ring.element_to_json(r) for r in residuals], "all_zero": all_zero},
         args.pretty,
@@ -238,8 +223,8 @@ def cmd_cross_check(job: JobSpec, args) -> int:
 
 _COMMANDS = {
     "construct": cmd_construct,
-    "quadratic": cmd_quadratic,
-    "degree-n": cmd_degree_n,
+    "quadratic": cmd_criterion,
+    "degree-n": cmd_criterion,
     "verify": cmd_verify,
     "cross-check": cmd_cross_check,
 }

@@ -14,11 +14,14 @@ zero first, keeps the criterion complete.  The system is built as ints
 from one power ladder per root (``_difference_columns``), block i scaled
 by D^i, which moves no rank, pivot or free variable.  Over any ring with
 identity, an invertible power difference x1^j - x2^j yields a direct
-construction; over a matrix ring one elimination per j finds it, with no
-inverse formed.  ``_difference_columns`` memoises its last pair, keyed
-on the exact (x1, x2, n), so the criterion and the direct construction
-run on one pair build the ladders and blocks once; only these immutable
-int tuples are kept, never a verdict or a polynomial.  Over a matrix
+construction, ``invertible_difference_construct``, which dispatches on
+the ring once: over a matrix ring it looks the pair up in the memo once
+and, from that one ladder and block set, finds j by one elimination per
+j, with no inverse formed; over H and the fields j = 1.
+``_difference_columns`` memoises its last pair, keyed on the exact
+(x1, x2, n), so the criterion and the direct construction run on one
+pair build the ladders and blocks once; only these immutable int tuples
+are kept, never a verdict or a polynomial.  Over a matrix
 ring the constant term a0 = -(x1^n + sum a_i x1^i) is summed from x1's
 ladder over one denominator, one product per nonzero a_i; other rings,
 the public ``constant_term`` and the oracle run the ring's evaluation
@@ -86,12 +89,14 @@ class CriterionReport(NamedTuple):
         }
 
 
-def _matrix_pair_ring(x1, x2) -> MatrixRing:
+def _pair_ring(x1, x2, n: int) -> Ring:
+    """The ring of x1, once the roots are distinct, n is within
+    [2, MAX_DEGREE] and x2 is in that ring, checked in that order."""
     ring = infer_ring(x1)
-    if not isinstance(ring, MatrixRing):
-        raise MismatchError("existence criteria apply to square matrices over a field")
     if x1 == x2:
         raise DomainError("the two prescribed roots must be distinct")
+    _check_degree(n)
+    ring.check(x2)
     return ring
 
 
@@ -104,8 +109,8 @@ def _check_degree(n: int):
 
 def quadratic_existence(x1: Matrix, x2: Matrix) -> CriterionReport:
     """Decide whether a monic quadratic with roots x1 and x2 exists: the
-    n = 2 case, where rank(x1 - x2) must equal the rank of x1 - x2 with
-    the rows of x2^2 - x1^2 stacked below."""
+    report of ``degree_n_existence(x1, x2, 2)``, where rank(x1 - x2) must
+    equal the rank of x1 - x2 with the rows of x2^2 - x1^2 stacked below."""
     return _criterion(x1, x2, 2)
 
 
@@ -117,9 +122,9 @@ def degree_n_existence(x1: Matrix, x2: Matrix, n: int) -> CriterionReport:
 
 
 def _criterion(x1: Matrix, x2: Matrix, n: int) -> CriterionReport:
-    ring = _matrix_pair_ring(x1, x2)
-    _check_degree(n)
-    ring.check(x2)
+    if not isinstance(infer_ring(x1), MatrixRing):
+        raise MismatchError("existence criteria apply to square matrices over a field")
+    ring = _pair_ring(x1, x2, n)
     ladder1, blocks, d = _difference_columns(x1, x2, n)
     outcome = _solve_blocks(ring.field, blocks, [d ** (n - i) for i in range(1, n)])
     coefficients = a0 = None
@@ -190,42 +195,29 @@ def invertible_difference_construct(x1, x2, n: int) -> Polynomial | None:
     matrices, the ring of x1; over H and the fields, division rings,
     j = 1 always.  n is at most MAX_DEGREE.
     """
-    ring = infer_ring(x1)
-    if x1 == x2:
-        raise DomainError("the two prescribed roots must be distinct")
-    _check_degree(n)
-    ring.check(x2)
-    found = _invertible_difference(ring, x1, x2, n)
-    if found is None:
-        return None
-    j, a_j = found
+    ring = _pair_ring(x1, x2, n)
     coefficients = [ring.zero] * (n - 1)
-    coefficients[j - 1] = a_j
-    if isinstance(ring, MatrixRing):
-        # x1's ladder is in the pair memo that _invertible_difference filled.
-        a0 = _ladder_constant_term(coefficients, x1, _difference_columns(x1, x2, n)[0])
-    else:
-        a0 = _constant_term(ring, coefficients, x1)
-    coeffs = (a0, *coefficients, ring.one)
-    _assert_annihilates(ring, coeffs, (x1, x2))
-    return Polynomial(ring, coeffs)
-
-
-def _invertible_difference(ring: Ring, x1, x2, n: int):
-    """(j, a_j) for the least j with x1^j - x2^j invertible, or None."""
     if isinstance(ring, MatrixRing):
         # a_j (x1^j - x2^j) = x2^n - x1^n is E_j^T (D^(n-j) a_j^T) = -E_n^T:
         # k pivots left of the bar mean x1^j - x2^j is invertible, and then
         # the one solution is a_j, without an inverse or a product.
-        _, blocks, d = _difference_columns(x1, x2, n)
+        ladder1, blocks, d = _difference_columns(x1, x2, n)
         for j in range(1, n):
             outcome = _solve_blocks(ring.field, (blocks[j - 1], blocks[-1]), (d ** (n - j),))
             if outcome.rank == ring.k:
-                return j, outcome.particular[0]
-        return None
-    # H and the fields are division rings: x1 - x2 != 0 is a unit, so j = 1.
-    powers1, powers2 = ring.powers(x1, n), ring.powers(x2, n)
-    return 1, (powers2[n] - powers1[n]) * ring.invert(x1 - x2)
+                break
+        else:
+            return None
+        coefficients[j - 1] = outcome.particular[0]
+        a0 = _ladder_constant_term(coefficients, x1, ladder1)
+    else:
+        # H and the fields are division rings: x1 - x2 != 0 is a unit, so j = 1.
+        powers1, powers2 = ring.powers(x1, n), ring.powers(x2, n)
+        coefficients[0] = (powers2[n] - powers1[n]) * ring.invert(x1 - x2)
+        a0 = _constant_term(ring, coefficients, x1)
+    coeffs = (a0, *coefficients, ring.one)
+    _assert_annihilates(ring, coeffs, (x1, x2))
+    return Polynomial(ring, coeffs)
 
 
 def constant_term(coefficients, x1, x2, n: int):

@@ -317,6 +317,31 @@ def test_non_matrix_ring_exits_65(monkeypatch, capsys):
     assert code == 65
 
 
+_QUAT_PAIR = {"ring": QUAT_RING, "elements": [["0", "1", "0", "0"], ["0", "0", "1", "0"]]}
+_EQUAL_PAIR = {"ring": MAT2_RING, "elements": [[[1, 2], [3, 4]], [[1, 2], [3, 4]]]}
+
+
+# Documents and argv with more than one fault: the ring kind is checked
+# before n and --a1, a missing ring before the elements, and equal roots
+# before the degree and before --a1 is decoded.
+@pytest.mark.parametrize("argv, doc, code, err", [
+    (["degree-n"], _QUAT_PAIR, 65, "error: degree-n needs a matrix ring, got QuaternionRing()\n"),
+    (["quadratic", "--a1", "[["], _QUAT_PAIR, 65,
+     "error: quadratic needs a matrix ring, got QuaternionRing()\n"),
+    (["cross-check"], _QUAT_PAIR, 65, "error: cross-check needs a matrix ring, got QuaternionRing()\n"),
+    (["quadratic"], {"elements": _EQUAL_PAIR["elements"]}, 64,
+     "error: quadratic needs a 'ring' entry\n"),
+    (["degree-n", "--n", "1"], _EQUAL_PAIR, 65, "error: the two prescribed roots must be distinct\n"),
+    (["degree-n", "--n", "65"], _EQUAL_PAIR, 65, "error: the two prescribed roots must be distinct\n"),
+    (["quadratic", "--a1", "[[1,2]]"], _EQUAL_PAIR, 65,
+     "error: the two prescribed roots must be distinct\n"),
+], ids=["degree-n over H, no n", "quadratic over H, bad a1", "cross-check over H, no n",
+        "quadratic, no ring", "degree-n, equal, n=1", "degree-n, equal, n=65",
+        "quadratic, equal, a1 of another shape"])
+def test_multi_fault_inputs_report_the_first_fault(monkeypatch, capsys, argv, doc, code, err):
+    assert run_cli(monkeypatch, capsys, argv, doc) == (code, "", err)
+
+
 def test_boolean_integers_exit_64(monkeypatch, capsys):
     # JSON true is not an integer, even though Python's bool is an int.
     pair = [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]

@@ -163,9 +163,19 @@ def test_constant_term_examples():
 BIG_PRIME = 3317044064679887385961813
 
 
-def _forty_digit_matrix(rng):
+def _forty_digit_matrix(rng, nrows=2, ncols=None):
     return Matrix.from_rows(QQ, [[Fraction(rng.randint(-(10**40), 10**40), rng.randint(1, 10**40))
-                                  for _ in range(2)] for _ in range(2)])
+                                  for _ in range(nrows if ncols is None else ncols)]
+                                 for _ in range(nrows)])
+
+
+def _forty_digit_pair(rng, k, rank_one):
+    """Two k x k matrices over Q with 40-digit entries: independent, or
+    differing by a rank-one matrix, which makes "no" verdicts common."""
+    x1 = _forty_digit_matrix(rng, k)
+    if rank_one:
+        return x1, x1 + _forty_digit_matrix(rng, k, 1) * _forty_digit_matrix(rng, 1, k)
+    return x1, _forty_digit_matrix(rng, k)
 
 
 @pytest.mark.parametrize("ring, draw", [
@@ -367,6 +377,39 @@ def test_shape_and_degree_preconditions():
         quadratic_existence(QQ.element(1), QQ.element(2))
 
 
+_A = M2Q.element([[1, 2], [3, 4]])
+_I3 = Matrix.identity(QQ, 3)
+_A_F3 = Matrix.from_rows(F3, [[1, 2], [0, 1]])
+_DISTINCT = (DomainError, "the two prescribed roots must be distinct")
+_MATRICES_ONLY = (MismatchError, "existence criteria apply to square matrices over a field")
+_ABOVE_LIMIT = (DomainError, "degree 65 is above the limit of 64 (MAX_DEGREE)")
+_BELOW_TWO = (DomainError, "degree must be at least 2")
+
+
+def _not_in_m2q(x):
+    return (MismatchError, f"{x!r} is not an element of MatrixRing(2, RationalField())")
+
+
+# Inputs with more than one fault, and the one error each function raises:
+# the checks run in a fixed order (ring kind for the criteria, then
+# distinct roots, then the degree, then x2's ring), so the first fault wins.
+@pytest.mark.parametrize("x1, x2, n, quadratic, degree_n, direct", [
+    pytest.param(QI, QI, 2, _MATRICES_ONLY, _MATRICES_ONLY, _DISTINCT, id="equal quaternions"),
+    pytest.param(_A, _A, 1, _DISTINCT, _DISTINCT, _DISTINCT, id="equal matrices, n=1"),
+    pytest.param(_A, _A, 65, _DISTINCT, _DISTINCT, _DISTINCT, id="equal matrices, n=65"),
+    pytest.param(_A, _I3, 65, _not_in_m2q(_I3), _ABOVE_LIMIT, _ABOVE_LIMIT,
+                 id="other shape, n=65"),
+    pytest.param(_A, _A_F3, 1, _not_in_m2q(_A_F3), _BELOW_TWO, _BELOW_TWO, id="other field, n=1"),
+])
+def test_preconditions_are_checked_in_a_fixed_order(x1, x2, n, quadratic, degree_n, direct):
+    for call, (error, message) in ((lambda: quadratic_existence(x1, x2), quadratic),
+                                   (lambda: degree_n_existence(x1, x2, n), degree_n),
+                                   (lambda: invertible_difference_construct(x1, x2, n), direct)):
+        with pytest.raises(error) as caught:
+            call()
+        assert type(caught.value) is error and str(caught.value) == message
+
+
 def test_report_json_shape():
     x1, x2 = involution_pair()
     obj = quadratic_existence(x1, x2).to_json()
@@ -440,6 +483,45 @@ def test_reported_ranks_match_independent_eliminations(field):
         assert report.solution_space_dim == k * (k * (n - 1) - rank_sys)
         verdicts.add(report.exists)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("rank_one", [False, True], ids=["independent", "rank-one difference"])
+def test_every_degree_from_2k_exists(k, rank_one):
+    # Cayley-Hamilton: the product of the two characteristic polynomials is
+    # monic of degree 2k with scalar coefficients, so it kills both roots,
+    # and x*P kills every root of P, as (x*P)(a) = P(a)*a.  So every
+    # n >= 2k has a "yes", on pairs far past the oracle's reach.
+    rng = random.Random(f"cayley-hamilton/{k}/{rank_one}")
+    for _ in range(3):
+        x1, x2 = _forty_digit_pair(rng, k, rank_one)
+        for n in (2 * k, 2 * k + 1):
+            assert degree_n_existence(x1, x2, n).exists
+
+
+def test_ranks_match_sympy_over_q():
+    # A second elimination, sympy's, on powers sympy builds from the
+    # entries: the stacked [(x1^i - x2^i)^T]_(i<n) and it with
+    # (x2^n - x1^n)^T appended.  The runtime never imports sympy.  Systems
+    # stop at 9 unknown columns, k (n - 1), which keeps the test short.
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20)
+    verdicts = []
+    for k, n in [(k, n) for k in (2, 3, 4) for n in (2, 3, 4, 5) if k * (n - 1) <= 9]:
+        x1, x2 = _forty_digit_pair(rng, k, rank_one=(k + n) % 2 == 1)
+        report = degree_n_existence(x1, x2, n)
+        s1, s2 = (sympy.Matrix([[sympy.Rational(e.numerator, e.denominator) for e in row]
+                                for row in x.entries]) for x in (x1, x2))
+        p1, p2 = [sympy.eye(k)], [sympy.eye(k)]
+        for _ in range(n):
+            p1.append(p1[-1] * s1)
+            p2.append(p2[-1] * s2)
+        system = sympy.Matrix.hstack(*((p1[i] - p2[i]).T for i in range(1, n)))
+        augmented = system.row_join((p2[n] - p1[n]).T)
+        assert report.rank_difference_matrix == system.rank()
+        assert report.rank_augmented == augmented.rank()
+        verdicts.append(report.exists)
+    assert set(verdicts) == {True, False}
 
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -556,3 +638,21 @@ def test_criterion_then_direct_build_each_ladder_once(monkeypatch):
     assert degree_n_existence(x1, x2, 4).exists
     assert invertible_difference_construct(x1, x2, 4) is not None
     assert calls == [4, 4]
+
+
+def test_direct_construction_reads_the_pair_memo_once(monkeypatch):
+    # The scan over j and the constant term share one system lookup, on a
+    # pair found at j = 1 and on one with no invertible power difference.
+    calls = []
+
+    def spy(x1, x2, n):
+        calls.append(n)
+        return _difference_columns(x1, x2, n)
+
+    monkeypatch.setattr(existence, "_difference_columns", spy)
+    rng = random.Random(15)
+    x1, x2 = rand_matrix(rng, QQ, 3), rand_matrix(rng, QQ, 3)
+    assert invertible_difference_construct(x1, x2, 4) is not None
+    assert calls == [4]
+    assert invertible_difference_construct(*rank_gap_pair(), 3) is None
+    assert calls == [4, 3]
