@@ -38,9 +38,7 @@ _SUBMODULES = {
     "QuaternionRing": "rings",
     "RationalField": "scalars",
     "Ring": "rings",
-    "RrefResult": "linalg",
     "ScalarRing": "rings",
-    "StackedSolveOutcome": "linalg",
     "brute_force_exists": "oracle",
     "constant_term": "existence",
     "construct_with_roots": "construct",
@@ -50,12 +48,9 @@ _SUBMODULES = {
     "field_from_json": "scalars",
     "infer_ring": "rings",
     "invertible_difference_construct": "existence",
-    "matrix_inverse": "linalg",
     "quadratic_existence": "existence",
     "rank": "linalg",
     "ring_from_json": "rings",
-    "rref": "linalg",
-    "solve_stacked": "linalg",
     "verify_roots": "construct",
 }
 

@@ -1,13 +1,13 @@
-"""Exact linear algebra over a field: RREF, rank, consistency, solutions.
+"""Exact linear algebra over a field: rank, consistency, solutions.
 
-The one elimination is ``_fraction_free_rref``, a Gauss-Jordan on int
+There is one elimination, ``_fraction_free_rref``, a Gauss-Jordan on int
 rows with the first nonzero entry of the leftmost unresolved column as
-pivot: exact arithmetic needs no pivoting
-heuristics, and the fixed rule keeps outputs reproducible.  The field
-supplies only the row reduction that keeps the entries small.  ``rref``
-runs it on a matrix's payload and returns the canonical form.  A solve
-runs it on the augmented int rows, which gives both ranks, and reads the
-particular solution off the pivot rows, with no RREF matrix built.
+pivot: exact arithmetic needs no pivoting heuristics, and the fixed rule
+keeps outputs reproducible.  The field supplies only the row reduction
+that keeps the entries small.  ``_solve_blocks`` runs it on the augmented
+int rows of a stacked system, which gives both ranks, and reads the
+particular solution off the pivot rows, with no RREF matrix built;
+``rank`` is a thin read of it, the number of pivots of a matrix's rows.
 """
 
 from __future__ import annotations
@@ -16,41 +16,20 @@ from itertools import chain
 from math import lcm
 from typing import NamedTuple
 
-from .errors import MismatchError
 from .matrices import Matrix, _trusted
 
 
-class RrefResult(NamedTuple):
-    rref: Matrix
-    rank: int
-    pivot_columns: tuple[int, ...]
-
-
 class StackedSolveOutcome(NamedTuple):
-    """Result of solving sum_j X_j * A_j = B: one particular matrix per
-    unknown block, the ranks of [A_1^T | ... | A_m^T] and of it with B^T
-    appended, and `nullspace_dim`, the free field parameters of the
-    homogeneous system over all unknown rows, consistent or not."""
+    """Result of `_solve_blocks` for C*Y = R, C = [C_1 | ... | C_m]: one
+    particular matrix per unknown block, the ranks of C and of [C | R],
+    and `nullspace_dim`, the free field parameters of the homogeneous
+    system over all unknown rows, consistent or not."""
 
     consistent: bool
     particular: tuple[Matrix, ...] | None
     nullspace_dim: int
     rank: int
     rank_augmented: int
-
-
-def rref(m: Matrix) -> RrefResult:
-    """Reduced row echelon form: leading 1s, zeroed pivot columns,
-    staircase shape, zero rows last."""
-    field = m.field
-    work = [list(row) for row in m._rows]  # m's den scales every row alike
-    pivots = _fraction_free_rref(work, field.reduce_row)
-    # Pivot row i over its pivot: every row over the lcm of the pivots,
-    # a unit mod p over F_p, since each pivot is a nonzero residue.
-    den = lcm(*(row[c] for row, c in zip(work, pivots)))
-    rows = [tuple(a * (den // row[c]) for a in row) for row, c in zip(work, pivots)]
-    rows += [(0,) * m.ncols] * (m.nrows - len(pivots))
-    return RrefResult(_trusted(field, tuple(rows), den), len(pivots), pivots)
 
 
 def _fraction_free_rref(work, reduce) -> tuple:
@@ -86,41 +65,7 @@ def _fraction_free_rref(work, reduce) -> tuple:
 
 
 def rank(m: Matrix) -> int:
-    return rref(m).rank
-
-
-def matrix_inverse(m: Matrix) -> Matrix | None:
-    """Two-sided inverse of a square matrix, or None when rank < k: the
-    unique X with X * m = 1, from `solve_stacked`."""
-    if not m.is_square():
-        raise MismatchError("only square matrices can be inverted")
-    outcome = solve_stacked((m,), Matrix.identity(m.field, m.nrows))
-    return outcome.particular[0] if outcome.rank == m.nrows else None
-
-
-def solve_stacked(blocks, rhs: Matrix) -> StackedSolveOutcome:
-    """Solve sum_j X_j * A_j = B jointly for the unknown matrices X_j.
-
-    Row i of the equation constrains only the i-th rows of the X_j, so
-    the whole thing is k independent systems sharing the coefficient
-    matrix C = [A_1^T | ... | A_m^T]: one multi-column system C*Y = B^T,
-    solved by one elimination of [C | B^T], whose int rows are the columns of
-    the blocks' numerators over the lcm of their dens.  Free variables
-    are set to zero.
-    """
-    blocks = tuple(blocks)
-    if not blocks:
-        raise MismatchError("solve_stacked needs at least one coefficient block")
-    k = rhs.nrows
-    for blk in blocks:
-        if not blk.is_square() or blk.nrows != k or blk.field != rhs.field:
-            raise MismatchError("all blocks must be square, same size and field as rhs")
-    if not rhs.is_square():
-        raise MismatchError("solve_stacked expects a square right-hand side")
-    den = lcm(*(m._den for m in (*blocks, rhs)))
-    scaled = [(m, den // m._den) for m in (*blocks, rhs)]
-    columns = [[[a * s for a in col] for col in zip(*m._rows)] for m, s in scaled]
-    return _solve_blocks(rhs.field, columns, (1,) * len(blocks))
+    return len(_fraction_free_rref([list(r) for r in m._rows], m.field.reduce_row))
 
 
 def _solve_blocks(field, blocks, dens) -> StackedSolveOutcome:
@@ -141,7 +86,8 @@ def _solve_blocks(field, blocks, dens) -> StackedSolveOutcome:
     if rk < len(pivots):  # Kronecker-Capelli: a pivot in the R columns
         return StackedSolveOutcome(False, None, dim, rk, len(pivots))
     # Y is zero in the free rows, and row c of Y, c = pivots[i], is the
-    # R part of pivot row i over its pivot, over the pivots' lcm (as in rref).
+    # R part of pivot row i over its pivot, over the pivots' lcm: a unit
+    # mod p over F_p, since each pivot is a nonzero residue.
     den = lcm(*(row[c] for row, c in zip(work, pivots)))
     y = [(0,) * k] * split
     for row, c in zip(work, pivots):

@@ -23,8 +23,9 @@ Entries from outside are validated once, at the boundary:
 ``Matrix(...)`` checks every entry against the field, ``from_rows`` and
 ``from_json`` decode every entry through it, and ring descriptors check
 membership of whole matrices.  Shapes are checked on every operation; a
-mismatch raises instead of broadcasting.  Non-square shapes appear only
-inside the linear-algebra routines (the stacked systems ``rref`` solves).
+mismatch raises instead of broadcasting.  Every matrix the package
+builds itself is square; a non-square one comes only from a caller
+(``rank`` takes any shape, and the ring descriptors reject them).
 """
 
 from __future__ import annotations

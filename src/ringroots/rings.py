@@ -167,7 +167,13 @@ class MatrixRing(Ring):
         return self.check(value)
 
     def invert(self, a):
-        return linalg.matrix_inverse(self.check(a))
+        """The unique X with X * a = 1, or None when rank(a) < k: one
+        solve of X * num = d * 1 for a = num / d, from num's columns."""
+        a = self.check(a)
+        k, d = self.k, a._den
+        eye = [[d * (i == j) for j in range(k)] for i in range(k)]
+        outcome = linalg._solve_blocks(self.field, (list(zip(*a._rows)), eye), (1,))
+        return outcome.particular[0] if outcome.rank == k else None
 
     def element_to_json(self, a):
         return self.check(a).to_json()

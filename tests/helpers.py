@@ -23,9 +23,9 @@ from ringroots import (
     Ring,
     ScalarRing,
     infer_ring,
-    rref,
 )
 from ringroots.cli import main
+from ringroots.linalg import _fraction_free_rref
 
 QQ = RationalField()
 F2 = PrimeField(2)
@@ -158,6 +158,23 @@ def reference_rref(m: Matrix):
     return tuple(map(tuple, work)), len(pivots), tuple(pivots)
 
 
+def assert_kernel_matches_reference(m: Matrix):
+    """Run the package's one elimination, `_fraction_free_rref`, on m's int
+    rows and check it against `reference_rref`: the same pivot columns,
+    each pivot row over its pivot equal to the reference's reduced row,
+    and zero rows below the rank.  Returns the reference."""
+    field = m.field
+    work = [list(row) for row in m._rows]
+    pivots = _fraction_free_rref(work, field.reduce_row)
+    rows, rk, reference_pivots = reference_rref(m)
+    assert pivots == reference_pivots
+    for row, c, want in zip(work, pivots, rows):
+        inv = field.invert(field.element(row[c]))
+        assert tuple(field.element(a) * inv for a in row) == want
+    assert not any(map(any, work[rk:]))
+    return rows, rk, pivots
+
+
 def reference_evaluate(p: Polynomial, point):
     """Horner's rule on the payload operators, one normalised value per
     step: the evaluation the package used before its int kernels, kept as
@@ -243,25 +260,27 @@ def side_by_side(*matrices) -> Matrix:
 
 def _reference_stacked_solve(blocks, rhs):
     """(consistent, particular, nullspace dim, rank, augmented rank) of
-    sum_j X_j * A_j = B from one RREF of [A_1^T | ... | A_m^T | B^T], the
-    system built from field elements, the particular solution read back as
-    field elements with free variables zero: the solve the package ran on
-    transposed and augmented `Matrix` objects before it built the system
-    from int payloads, kept as the reference that route must reproduce."""
+    sum_j X_j * A_j = B from one `reference_rref` of
+    [A_1^T | ... | A_m^T | B^T], the system built from field elements, the
+    particular solution read back as field elements with free variables
+    zero: the solve the package ran on transposed and augmented `Matrix`
+    objects before it built the system from int payloads, kept as the
+    reference that route must reproduce.  It shares no elimination with
+    the package."""
     field, k = rhs.field, rhs.nrows
-    rr = rref(side_by_side(*(b.transpose() for b in (*blocks, rhs))))
+    rows, rank_augmented, pivots = reference_rref(
+        side_by_side(*(b.transpose() for b in (*blocks, rhs))))
     split = k * len(blocks)
-    rk = sum(c < split for c in rr.pivot_columns)
+    rk = sum(c < split for c in pivots)
     dim = k * (split - rk)
-    if rk < rr.rank:
-        return False, None, dim, rk, rr.rank
-    rows = rr.rref.entries
+    if rk < rank_augmented:
+        return False, None, dim, rk, rank_augmented
     y = [(field.zero,) * k] * split
-    for row_idx, col in enumerate(rr.pivot_columns):
+    for row_idx, col in enumerate(pivots):
         y[col] = rows[row_idx][split:]
     particular = tuple(Matrix(field, y[j * k : (j + 1) * k]).transpose()
                        for j in range(len(blocks)))
-    return True, particular, dim, rk, rr.rank
+    return True, particular, dim, rk, rank_augmented
 
 
 def _reference_invert(ring, a):

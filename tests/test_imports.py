@@ -49,6 +49,26 @@ def test_a_quadratic_run_loads_neither_dataclasses_inspect_nor_the_oracle():
     assert not loaded & {"dataclasses", "inspect", "ringroots.oracle"}
 
 
+def test_public_names_are_pinned():
+    # adding or removing an export is a change to this list, made on purpose
+    assert ringroots.__all__ == [
+        "AlgebraError", "BRANCH_ALREADY_ROOT", "BRANCH_CONJUGATE", "BRANCH_FAILED",
+        "BRANCH_PAD_WITH_X", "BruteForceResult", "ConstructionStep", "ConstructionTrace",
+        "CriterionReport", "CrossCheckReport", "DomainError", "Fraction", "Matrix",
+        "MatrixRing", "MismatchError", "ParseError", "Polynomial", "PrimeField",
+        "PrimeFieldElement", "Quaternion", "QuaternionRing", "RationalField", "Ring",
+        "ScalarRing", "brute_force_exists", "constant_term", "construct_with_roots",
+        "cross_check_criterion", "degree_n_existence", "enumerate_ring", "field_from_json",
+        "infer_ring", "invertible_difference_construct", "quadratic_existence", "rank",
+        "ring_from_json", "verify_roots",
+    ]
+    for name in ringroots.__all__:
+        getattr(ringroots, name)
+    from ringroots import existence, linalg
+
+    assert ringroots.rank is linalg.rank is existence.rank
+
+
 def test_a_lazy_name_is_the_defining_module_s_object():
     from ringroots import existence, oracle
 

@@ -14,7 +14,6 @@ from ringroots import (
     PrimeField,
     PrimeFieldElement,
     Ring,
-    rref,
 )
 
 from helpers import (
@@ -133,8 +132,8 @@ def test_prime_field_products_match_elementwise_reference():
                 c = rand_matrix(rng, field, rows, inner)
                 product = a * b
                 assert [list(r) for r in product.entries] == _literal_product(a, b)
-                internal = (product, a + c, a - c, -a, a.transpose(), rref(a).rref,
-                            side_by_side(a, c), Matrix.identity(field, k))
+                internal = (product, a + c, a - c, -a, a.transpose(), side_by_side(a, c),
+                            Matrix.identity(field, k))
                 for m in internal:
                     _assert_valid(field, m)
                 if rows != inner:

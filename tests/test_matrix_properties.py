@@ -1,13 +1,14 @@
-"""Generated matrices: the int kernels of `Matrix` and `rref` against
-literal element-wise references, and one payload per value."""
+"""Generated matrices: the int kernels of `Matrix` and the one
+elimination against literal element-wise references, and one payload
+per value."""
 
 from fractions import Fraction
 
 import pytest
 
-from ringroots import Matrix, rref
+from ringroots import Matrix
 
-from helpers import F2, F3, F7, QQ, reference_rref, side_by_side
+from helpers import F2, F3, F7, QQ, assert_kernel_matches_reference, side_by_side
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -63,10 +64,7 @@ def test_int_kernels_match_elementwise_references(abc):
     _assert_entries(a.transpose(), [list(col) for col in zip(*ga)])
     _assert_entries(side_by_side(a, b), [ra + rb for ra, rb in zip(ga, gb)])
     for m in (a, side_by_side(a, b), c.transpose()):
-        got = rref(m)
-        rows, rank, pivots = reference_rref(m)
-        _assert_entries(got.rref, [list(row) for row in rows])
-        assert (got.rank, got.pivot_columns) == (rank, pivots)
+        assert_kernel_matches_reference(m)
 
 
 @hypothesis.settings(max_examples=120, deadline=None, database=None, derandomize=True)

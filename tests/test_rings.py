@@ -15,12 +15,14 @@ from ringroots import (
     QuaternionRing,
     RationalField,
     ScalarRing,
+    enumerate_ring,
     infer_ring,
     ring_from_json,
 )
 
 from helpers import (
     F2,
+    F3,
     F7,
     HH,
     M2F2,
@@ -29,42 +31,75 @@ from helpers import (
     QI,
     QQ,
     RAT,
+    _reference_invert,
     involution_pair,
     rand_element,
     rank_gap_pair,
+    reference_rref,
 )
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
 
 AXIOM_RINGS = [RAT, ScalarRing(F7), M2Q, M2F2, HH]
 
+# Zero, small integers, small and 40-digit numerators over small, coprime
+# and 40-digit denominators.
+RATIONALS = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-9, 9)),
+    st.builds(Fraction, st.integers(-30, 30), st.sampled_from([2, 3, 4, 6, 7])),
+    st.builds(Fraction, st.integers(-(10**40), 10**40), st.sampled_from([1, 3, 10**39 + 7])),
+)
+
+
+def elements(ring):
+    if ring == HH:
+        return st.builds(Quaternion, RATIONALS, RATIONALS, RATIONALS, RATIONALS)
+    scalars = RATIONALS if ring.field == QQ else st.integers(0, ring.field.p - 1)
+    if isinstance(ring, ScalarRing):
+        return scalars.map(ring.element)
+    row = st.lists(scalars, min_size=ring.k, max_size=ring.k)
+    grid = st.lists(row, min_size=ring.k, max_size=ring.k)
+    return grid.map(lambda rows: Matrix.from_rows(ring.field, rows))
+
 
 @pytest.mark.parametrize("ring", AXIOM_RINGS, ids=repr)
-def test_ring_axioms_on_random_triples(ring):
-    rng = random.Random(42)
+@hypothesis.settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@hypothesis.given(data=st.data())
+def test_ring_axioms_on_random_triples(ring, data):
+    a, b, c = data.draw(st.tuples(elements(ring), elements(ring), elements(ring)))
     one, zero = ring.one, ring.zero
-    for _ in range(500):
-        a, b, c = (rand_element(rng, ring) for _ in range(3))
-        assert (a + b) + c == a + (b + c)
-        assert a + b == b + a
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-        assert (b + c) * a == b * a + c * a
-        assert a + zero == a
-        assert a * one == a
-        assert one * a == a
-        assert ring.is_zero(a + (-a))
+    assert (a + b) + c == a + (b + c)
+    assert a + b == b + a
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert (b + c) * a == b * a + c * a
+    assert a + zero == a
+    assert a * one == a
+    assert one * a == a
+    assert ring.is_zero(a + (-a))
 
 
-@pytest.mark.parametrize("ring", AXIOM_RINGS, ids=repr)
+@pytest.mark.parametrize("ring", [*AXIOM_RINGS, MatrixRing(2, F3)], ids=repr)
 def test_units_multiply_to_one_both_sides(ring):
+    # 200 seeded elements, and over M_k(F_p) the whole ring as well
     rng = random.Random(17)
+    cases = [rand_element(rng, ring) for _ in range(200)]
+    if isinstance(ring, MatrixRing) and ring.field != QQ:
+        cases += enumerate_ring(ring)
     found = 0
-    for _ in range(200):
-        a = rand_element(rng, ring)
+    for a in cases:
         inv = ring.invert(a)
+        if isinstance(ring, MatrixRing):
+            assert (inv is None) == (reference_rref(a)[1] < ring.k)
+        else:
+            assert (inv is None) == ring.is_zero(a)
         if inv is None:
             continue
         assert a * inv == ring.one
         assert inv * a == ring.one
+        assert inv == _reference_invert(ring, a)
         found += 1
     assert found > 20
 
