@@ -90,13 +90,13 @@ def _read_document(args):
     return _decode_json(text)
 
 
-def _decode_elements(ring, document, minimum=1, exactly=None):
+def _decode_elements(ring, document, exactly=None):
     raw = document.get("elements")
     if exactly is not None:
         if not isinstance(raw, list) or len(raw) != exactly:
             raise ParseError(f"'elements' must be an array of exactly {exactly} entries")
-    elif not isinstance(raw, list) or len(raw) < minimum:
-        raise ParseError(f"'elements' must be an array of at least {minimum} entries")
+    elif not isinstance(raw, list) or not raw:
+        raise ParseError("'elements' must be an array of at least 1 entries")
     return tuple(ring.element_from_json(e) for e in raw)
 
 
@@ -132,7 +132,7 @@ def parse_job(command: str, document, n_flag=None) -> JobSpec:
             raise ParseError("verify needs a 'polynomial' entry")
         polynomial = _decode_polynomial(document["polynomial"], ring)
         ring = polynomial.ring
-        elements = _decode_elements(ring, document, minimum=1)
+        elements = _decode_elements(ring, document)
     elif ring is None:
         raise ParseError(f"{command} needs a 'ring' entry")
     elif command == "cross-check":
@@ -143,7 +143,7 @@ def parse_job(command: str, document, n_flag=None) -> JobSpec:
         raw = document.get("elements")
         if isinstance(raw, list) and len(raw) > MAX_ROOTS:
             raise DomainError(f"{len(raw)} elements are above the limit of {MAX_ROOTS} (MAX_ROOTS)")
-        elements = _decode_elements(ring, document, minimum=1)
+        elements = _decode_elements(ring, document)
 
     return JobSpec(command, ring, elements, polynomial, n)
 

@@ -17,7 +17,8 @@ s = h*x_m*h**-1 from two int products.  With s = t/c, the new numerators
 c*R_(j-1) - t*R_j over D*c are reduced by one gcd per step, and the
 coefficients become `Quaternion`s once, at the end.  The matrix and
 scalar rings fold on a list of ring elements.  Either fold returns
-coefficients, made a `Polynomial` once the referee has passed them.
+coefficients, made a `Polynomial` once ``rings._assert_annihilates``
+passes them.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import NamedTuple
 from . import quaternions
 from .errors import DomainError
 from .polynomials import Polynomial
-from .rings import QuaternionRing, Ring, infer_ring
+from .rings import QuaternionRing, Ring, _assert_annihilates, infer_ring
 
 BRANCH_CONJUGATE = "conjugate"
 BRANCH_ALREADY_ROOT = "already_root"
@@ -225,12 +226,3 @@ def verify_roots(p: Polynomial, roots) -> tuple:
     if p.is_zero():
         return (ring.zero,) * len(roots)
     return ring._values(p.coeffs, roots)
-
-
-def _assert_annihilates(ring: Ring, coeffs, roots):
-    """The referee every constructed polynomial passes before it leaves
-    the package: RuntimeError unless its coefficients `coeffs` (constant
-    term first) vanish at each of `roots` by the ring's evaluation kernel,
-    since anything else can only be a bug."""
-    if any(ring._values(coeffs, roots)):
-        raise RuntimeError("internal error: a constructed polynomial does not annihilate its roots")

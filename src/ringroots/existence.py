@@ -21,13 +21,13 @@ j, with no inverse formed; over H and the fields j = 1.
 ``_difference_columns`` memoises its last pair, keyed on the exact
 (x1, x2, n), so the criterion and the direct construction run on one
 pair build the ladders and blocks once; only these immutable int tuples
-are kept, never a verdict or a polynomial.  Over a matrix
-ring the constant term a0 = -(x1^n + sum a_i x1^i) is summed from x1's
-ladder over one denominator, one product per nonzero a_i; other rings,
-the public ``constant_term`` and the oracle run the ring's evaluation
-kernel at x1.  Every returned polynomial is evaluated at both roots
-before it leaves, by that kernel, so a ladder a0 is checked along a path
-that did not compute it.
+are kept, never a verdict or a polynomial.  Over a matrix ring the
+constant term a0 = -(x1^n + sum a_i x1^i) is summed from x1's ladder
+over one denominator, one product per nonzero a_i; other rings, the
+public ``constant_term`` and the oracle run the ring's evaluation kernel
+at x1.  The referee ``rings._assert_annihilates`` evaluates every
+returned polynomial at both roots by that kernel before it leaves, so a
+ladder a0 is checked along a path that did not compute it.
 """
 
 from __future__ import annotations
@@ -37,12 +37,11 @@ from math import lcm
 from operator import mul
 from typing import NamedTuple
 
-from .construct import _assert_annihilates
 from .errors import DomainError, MismatchError
 from .linalg import _solve_blocks, rank  # noqa: F401  (bench/tests reads existence.rank)
 from .matrices import Matrix, _power_rows, _trusted
 from .polynomials import Polynomial
-from .rings import MatrixRing, Ring, infer_ring
+from .rings import MatrixRing, Ring, _assert_annihilates, infer_ring
 
 # Largest degree the criteria and the direct construction accept: their
 # work and, over Q, the height of every power grow with n.  A larger

@@ -3,7 +3,8 @@
 The independent referee for the rank criteria: over M_k(F_p) every
 coefficient tuple of a monic polynomial with two given right roots can
 be tried, and `cross_check_criterion` compares that search with
-`degree_n_existence` on every ordered pair of distinct elements.
+`degree_n_existence` on every ordered pair of distinct elements.  The
+witness passes ``rings._assert_annihilates``, the package's referee.
 """
 
 from __future__ import annotations
@@ -12,11 +13,10 @@ import itertools
 from operator import mul
 from typing import NamedTuple
 
-from .construct import _assert_annihilates
 from .errors import DomainError
 from .existence import _check_degree, _constant_term, degree_n_existence
 from .matrices import Matrix, _raw
-from .rings import MatrixRing, Ring
+from .rings import MatrixRing, Ring, _assert_annihilates
 from .scalars import PrimeField
 
 # Most elements a ring, and most coefficient tuples a pair, the oracle

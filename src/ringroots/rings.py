@@ -6,7 +6,8 @@ Arithmetic is the payloads' own operators: `Matrix` rejects mixed
 fields and shapes, `PrimeFieldElement` mixed moduli, each with a
 `MismatchError`, so nothing is coerced across descriptors.  Quaternions
 accept int and `Fraction` scalars by design, as rational quaternions
-contain the rationals.
+contain the rationals.  The referee ``_assert_annihilates`` sits here,
+beside the evaluation kernels it runs.
 """
 
 from __future__ import annotations
@@ -63,10 +64,9 @@ class Ring:
         Horner's rule acc -> acc*x + c_i on the payload operators.  The one
         evaluation kernel of a ring: `Polynomial.evaluate`, ``construct._fold``
         and ``existence._constant_term`` call it with one point, and
-        `construct.verify_roots` and the referee ``_assert_annihilates``
-        with all the roots.  Matrix and quaternion rings run their payload's
-        int kernel instead, which brings the coefficients over one
-        denominator once for all points."""
+        `construct.verify_roots` and the referee below with all the roots.
+        Matrix and quaternion rings run their payload's int kernel instead,
+        which brings the coefficients over one denominator once per call."""
         values = []
         for x in points:
             acc = coeffs[-1]
@@ -90,6 +90,15 @@ class Ring:
 
     def to_json(self) -> dict:
         raise NotImplementedError
+
+
+def _assert_annihilates(ring: Ring, coeffs, roots):
+    """The referee every constructed polynomial passes before it leaves
+    the package: RuntimeError unless its coefficients `coeffs` (constant
+    term first) vanish at each of `roots` by the ring's evaluation kernel,
+    since anything else can only be a bug."""
+    if any(ring._values(coeffs, roots)):
+        raise RuntimeError("internal error: a constructed polynomial does not annihilate its roots")
 
 
 class ScalarRing(Ring):

@@ -21,15 +21,20 @@ with warnings.catch_warnings():
     except ImportError:
         pass
 
-# The property tests pass database=None, which keeps examples out of
-# storage, but from collection on Hypothesis also caches the constants it
-# reads from local modules; keep that cache in a directory of its own,
-# removed when the run exits.
+# One settings profile for every property test: no deadline (exact
+# arithmetic on 40-digit entries has no fixed cost per example), no
+# example database, and a fixed example sequence, so a run is repeatable.
+# A decorator names only what differs, such as max_examples.  From
+# collection on Hypothesis also caches the constants it reads from local
+# modules; keep that cache in a directory of its own, removed when the run
+# exits.
 try:
-    from hypothesis import configuration
+    from hypothesis import configuration, settings
 except ImportError:
     pass
 else:
+    settings.register_profile("ringroots", deadline=None, database=None, derandomize=True)
+    settings.load_profile("ringroots")
     _HOME = tempfile.mkdtemp(prefix="hypothesis-")
     configuration.set_hypothesis_home_dir(_HOME)
     atexit.register(shutil.rmtree, _HOME, ignore_errors=True)

@@ -1,4 +1,5 @@
-"""Shared fixtures: the regression pairs, seeded random generators and the CLI runner."""
+"""Shared fixtures: the regression pairs, seeded random generators, the
+Hypothesis element strategies and the CLI runner."""
 
 import io
 import json
@@ -26,6 +27,11 @@ from ringroots import (
 )
 from ringroots.cli import main
 from ringroots.linalg import _fraction_free_rref
+
+try:
+    from hypothesis import strategies as st
+except ImportError:
+    st = None
 
 QQ = RationalField()
 F2 = PrimeField(2)
@@ -82,6 +88,36 @@ def zero_column_pair():
     x1 = M3Q.element([[1, -1, 0], [-1, 1, 0], [1, 0, 0]])
     x2 = M3Q.element([[1, 1, 2], [-1, 1, 0], [1, 0, 0]])
     return x1, x2
+
+
+BIG = 10**39 + 7  # 40 digits
+
+# Zero, small and negative integers, small denominators that share
+# factors, pairwise coprime denominators, and 40-digit numerators over 1, 3
+# and a 40-digit denominator.
+if st is None:  # the property modules skip themselves without Hypothesis
+    RATIONALS = None
+else:
+    RATIONALS = st.one_of(
+        st.just(Fraction(0)),
+        st.builds(Fraction, st.integers(-9, 9)),
+        st.builds(Fraction, st.integers(-30, 30), st.sampled_from([2, 3, 4, 6])),
+        st.builds(Fraction, st.integers(-30, 30), st.sampled_from([7, 11, 13])),
+        st.builds(Fraction, st.integers(-(10**40), 10**40), st.sampled_from([1, 3, BIG])),
+    )
+
+
+def elements(ring):
+    """The Hypothesis strategy for elements of `ring`: quaternion and
+    rational entries from RATIONALS, F_p entries as residues 0..p-1."""
+    if ring == HH:
+        return st.builds(Quaternion, RATIONALS, RATIONALS, RATIONALS, RATIONALS)
+    scalars = RATIONALS if ring.field == QQ else st.integers(0, ring.field.p - 1)
+    if isinstance(ring, ScalarRing):
+        return scalars.map(ring.element)
+    row = st.lists(scalars, min_size=ring.k, max_size=ring.k)
+    grid = st.lists(row, min_size=ring.k, max_size=ring.k)
+    return grid.map(lambda rows: Matrix.from_rows(ring.field, rows))
 
 
 def rand_fraction(rng, span=6, max_den=4) -> Fraction:

@@ -2,8 +2,9 @@
 
 Every assertion is exact arithmetic (no tolerances to tune); the timed
 criteria measure the best of several repeats to shut out scheduler
-noise.  Run with `pytest tests/test_acceptance.py -v -s` to see one
-pass line per criterion.
+noise.  Criterion 6 is two Hypothesis properties, one per identity.  Run
+with `pytest tests/test_acceptance.py -v -s` to see one pass line per
+other criterion.
 """
 
 import itertools
@@ -11,9 +12,14 @@ import random
 import time
 from fractions import Fraction
 
+import hypothesis
+import pytest
+from hypothesis import strategies as st
+
 from ringroots import (
     Matrix,
     Polynomial,
+    ScalarRing,
     brute_force_exists,
     constant_term,
     construct_with_roots,
@@ -27,15 +33,15 @@ from ringroots import (
 )
 
 from helpers import (
+    F7,
     HH,
     M2F2,
     M2Q,
     M3Q,
     QQ,
+    elements,
     involution_pair,
     nilpotent_shift_pair,
-    rand_element,
-    rand_polynomial,
     rand_quaternion,
     rank_gap_pair,
     rank_gap_cubic_coefficient,
@@ -144,30 +150,39 @@ def test_criterion_5_oracle_equivalence():
     report_pass(5, f"0 disagreements over 240 pairs at n=2 and n=3, counts match 2^dim, {elapsed:.1f} s")
 
 
-def test_criterion_6_product_evaluation_identity():
-    rng = random.Random(6)
-    for ring, name in ((HH, "quaternions"), (M3Q, "3x3 rationals")):
-        checked = 0
-        while checked < 1000:
-            left = rand_polynomial(rng, ring, max_degree=2)
-            right = rand_polynomial(rng, ring, max_degree=2)
-            d = rand_element(rng, ring)
-            h = right.evaluate(d)
-            hinv = ring.invert(h)
-            if hinv is None:
-                continue
-            shifted = h * d * hinv
-            assert (left * right).evaluate(d) == left.evaluate(shifted) * h
-            checked += 1
-    for ring in (HH, M3Q):
-        for _ in range(500):
-            p = rand_polynomial(rng, ring, max_degree=4)
-            a = rand_element(rng, ring)
-            quotient, remainder = p.divmod_linear(a)
-            assert remainder == p.evaluate(a)
-            constant = Polynomial.from_coefficients(ring, [remainder])
-            assert quotient * Polynomial.x_minus(ring, a) + constant == p
-    report_pass(6, "1000 product-evaluation triples per ring, 1000 factor-theorem checks")
+def polynomials(ring, max_degree):
+    """Nonzero polynomials over `ring` with 1..max_degree + 1 coefficients
+    from `elements(ring)`, before trailing zeros drop."""
+    coefficients = st.lists(elements(ring), min_size=1, max_size=max_degree + 1)
+    return coefficients.map(lambda c: Polynomial(ring, c)).filter(lambda p: not p.is_zero())
+
+
+@pytest.mark.parametrize("ring", [HH, M2Q, M3Q, ScalarRing(F7)], ids=repr)
+@hypothesis.settings(max_examples=200)
+@hypothesis.given(data=st.data())
+def test_criterion_6_factor_theorem(ring, data):
+    # P = Q * (x - a) + P(a): the remainder of right division by x - a
+    # is the value at a, so x - a right-divides P exactly when P(a) = 0.
+    p, a = data.draw(polynomials(ring, 4)), data.draw(elements(ring))
+    quotient, remainder = p.divmod_linear(a)
+    assert remainder == p.evaluate(a)
+    constant = Polynomial.from_coefficients(ring, [remainder])
+    assert quotient * Polynomial.x_minus(ring, a) + constant == p
+
+
+@pytest.mark.parametrize("ring", [HH, M3Q], ids=repr)
+@hypothesis.settings(max_examples=200)
+@hypothesis.given(data=st.data())
+def test_criterion_6_product_evaluation_identity(ring, data):
+    # (l*q)(d) = l(h*d*h^-1) * q(d) for h = q(d) invertible.  A draw whose
+    # h is not a unit is rejected, so an invert that never succeeds ends
+    # in a Hypothesis health-check failure rather than a loop.
+    left, right = data.draw(polynomials(ring, 2)), data.draw(polynomials(ring, 2))
+    d = data.draw(elements(ring))
+    h = right.evaluate(d)
+    hinv = ring.invert(h)
+    hypothesis.assume(hinv is not None)
+    assert (left * right).evaluate(d) == left.evaluate(h * d * hinv) * h
 
 
 def test_criterion_7_division_ring_construction_total():
@@ -191,7 +206,9 @@ def test_criterion_8_direct_path_inside_general_path():
     rng = random.Random(8)
     pairs = 0
     direct_hits = 0
-    while pairs < 500:
+    for _ in range(1000):
+        if pairs == 500:
+            break
         k = rng.randint(1, 3)
         n = rng.randint(2, 4)
         x1 = Matrix.from_rows(
@@ -212,6 +229,7 @@ def test_criterion_8_direct_path_inside_general_path():
         report = degree_n_existence(x1, x2, n)
         assert report.exists
         assert all(report.ring.is_zero(r) for r in verify_roots(direct, [x1, x2]))
+    assert pairs == 500
     assert direct_hits > 100
     # fixed witness of the strict gap: joint criterion succeeds where the
     # invertible-difference path has nothing to invert

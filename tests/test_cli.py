@@ -300,6 +300,17 @@ def test_missing_fields_exit_64(monkeypatch, capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize("command, doc", [
+    ("construct", {"ring": QUAT_RING, "elements": []}),
+    ("construct", {"ring": QUAT_RING}),
+    ("verify", {"polynomial": {"ring": QUAT_RING, "coefficients": [["1", "0", "0", "0"]]},
+                "elements": []}),
+])
+def test_no_elements_exits_64_with_one_message(monkeypatch, capsys, command, doc):
+    assert run_cli(monkeypatch, capsys, [command], doc) == (
+        64, "", "error: 'elements' must be an array of at least 1 entries\n")
+
+
 def test_unknown_flag_exits_64(monkeypatch, capsys):
     code, _, _ = run_cli(monkeypatch, capsys, ["construct", "--bogus"], document={})
     assert code == 64
@@ -667,16 +678,16 @@ def cli_inputs(draw):
         size = st.integers(0, k + 1) if fault == "ragged" else st.just(k)
         return [[draw(scalar) for _ in range(draw(size))] for _ in range(draw(size))]
 
-    def elements(low, high):
+    def payloads(low, high):
         return [element() for _ in range(draw(st.integers(low, high)))]
 
     argv = [command]
     if command == "verify":
-        doc = {"polynomial": {"ring": ring, "coefficients": elements(1, 4)}, "elements": elements(1, 3)}
+        doc = {"polynomial": {"ring": ring, "coefficients": payloads(1, 4)}, "elements": payloads(1, 3)}
     elif command == "cross-check":
         doc = {"ring": ring}
     else:
-        doc = {"ring": ring, "elements": elements(1, 4) if command == "construct" else elements(2, 2)}
+        doc = {"ring": ring, "elements": payloads(1, 4) if command == "construct" else payloads(2, 2)}
     if command == "construct":
         argv += draw(st.sampled_from([[], ["--trace"], ["--verify"], ["--exact-degree", "--trace"]]))
     if command in ("degree-n", "cross-check"):
@@ -700,7 +711,7 @@ def cli_inputs(draw):
     return argv, text
 
 
-@hypothesis.settings(max_examples=150, deadline=None, database=None, derandomize=True,
+@hypothesis.settings(max_examples=150,
                      suppress_health_check=[hypothesis.HealthCheck.function_scoped_fixture])
 @hypothesis.given(cli_inputs())
 def test_generated_inputs_end_in_a_documented_exit_code(monkeypatch, capsys, inputs):

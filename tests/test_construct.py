@@ -29,6 +29,7 @@ from ringroots import (
 from ringroots import construct, existence, oracle
 
 from helpers import (
+    BIG,
     F2,
     F3,
     HH,
@@ -104,10 +105,13 @@ def test_commutative_product_matches_symmetric_functions():
     for _ in range(30):
         n = rng.randint(2, 5)
         roots = []
-        while len(roots) < n:
+        for _ in range(100):
+            if len(roots) == n:
+                break
             c = rand_fraction(rng, span=9)
             if c not in roots:
                 roots.append(c)
+        assert len(roots) == n
         trace = construct_with_roots(roots)
         assert trace.succeeded
         coeffs = []
@@ -294,7 +298,6 @@ def test_construction_matches_the_convolution_loop(ring):
     assert branches == (expected if ring == HH else expected | {BRANCH_FAILED})
 
 
-BIG = 10**39 + 7  # 40 digits
 SMALL = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 6, 7, 11, 13]))
 LARGE = st.builds(Fraction, st.integers(-(10**40), 10**40), st.sampled_from([1, 3, BIG]))
 
@@ -323,7 +326,7 @@ def quaternion_roots(draw):
     return roots
 
 
-@hypothesis.settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@hypothesis.settings(max_examples=40)
 @hypothesis.given(quaternion_roots())
 def test_quaternion_construction_matches_the_convolution_loop(roots):
     # The construction over H keeps P as int numerators over one

@@ -17,7 +17,6 @@ from ringroots import (
     Polynomial,
     PrimeField,
     Quaternion,
-    ScalarRing,
     verify_roots,
 )
 from ringroots.construct import _conjugated_root
@@ -31,6 +30,8 @@ from helpers import (
     M2Q,
     QQ,
     RAT,
+    RATIONALS,
+    elements,
     reference_evaluate,
     reference_quaternion_horner,
 )
@@ -39,18 +40,6 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 
-BIG = 10**39 + 7  # 40 digits
-
-# Zero, small and negative integers, a shared denominator, pairwise
-# coprime denominators, and 40-digit numerators and denominators.
-RATIONALS = st.one_of(
-    st.just(Fraction(0)),
-    st.builds(Fraction, st.integers(-9, 9)),
-    st.builds(Fraction, st.integers(-30, 30), st.just(6)),
-    st.builds(Fraction, st.integers(-30, 30), st.sampled_from([7, 11, 13])),
-    st.builds(Fraction, st.integers(-(10**40), 10**40), st.sampled_from([1, 3, BIG])),
-)
-
 # H, M_k(Q) and M_k(F_p), k = 1..3, drawn as separate families so
 # that each gets its share of the examples.
 FAMILIES = {
@@ -58,17 +47,6 @@ FAMILIES = {
     "M_k(Q)": st.builds(MatrixRing, st.integers(1, 3), st.just(QQ)),
     "M_k(F_p)": st.builds(MatrixRing, st.integers(1, 3), st.sampled_from([F2, F3, F7])),
 }
-
-
-def elements(ring):
-    if ring == HH:
-        return st.builds(Quaternion, RATIONALS, RATIONALS, RATIONALS, RATIONALS)
-    if isinstance(ring, ScalarRing):
-        return RATIONALS
-    scalars = RATIONALS if ring.field is QQ else st.integers(0, ring.field.p - 1)
-    row = st.lists(scalars, min_size=ring.k, max_size=ring.k)
-    grid = st.lists(row, min_size=ring.k, max_size=ring.k)
-    return st.builds(Matrix.from_rows, st.just(ring.field), grid)
 
 
 def _payload(x):
@@ -80,7 +58,7 @@ def _payload(x):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-@hypothesis.settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@hypothesis.settings(max_examples=25)
 @hypothesis.given(data=st.data())
 def test_evaluate_matches_the_operator_loop(family, data):
     # p of degree 0..8 before trailing zeros drop (all-zero: the zero
@@ -113,7 +91,7 @@ def _numerators(coeffs):
     return [tuple(v * (den // c._den) for v in c._n) for c in coeffs]
 
 
-@hypothesis.settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@hypothesis.settings(max_examples=80)
 @hypothesis.given(data=st.data())
 def test_quaternion_remainder_kernel_matches_the_horner_core(data):
     # Degree 0..12; half the time the point is a right root of the
@@ -131,7 +109,7 @@ def test_quaternion_remainder_kernel_matches_the_horner_core(data):
     assert _value_ints(numerators, point) == reference_quaternion_horner(numerators, point)
 
 
-@hypothesis.settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@hypothesis.settings(max_examples=60)
 @hypothesis.given(h=elements(HH).filter(bool), r=POINTS)
 def test_conjugated_root_matches_the_operators(h, r):
     s = _conjugated_root(h, r)
@@ -144,7 +122,7 @@ VERIFY_RINGS = {"H": HH, "M_2(Q)": M2Q, "M_3(F_5)": MatrixRing(3, PrimeField(5))
 
 
 @pytest.mark.parametrize("name", VERIFY_RINGS)
-@hypothesis.settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@hypothesis.settings(max_examples=25)
 @hypothesis.given(data=st.data())
 def test_verify_roots_matches_one_point_evaluations(name, data):
     # Degree 0..6 before trailing zeros drop (all-zero: the zero
@@ -162,7 +140,7 @@ def test_verify_roots_matches_one_point_evaluations(name, data):
 
 
 @pytest.mark.parametrize("name", VERIFY_RINGS)
-@hypothesis.settings(max_examples=10, deadline=None, database=None, derandomize=True)
+@hypothesis.settings(max_examples=10)
 @hypothesis.given(data=st.data())
 def test_verify_roots_rejects_a_foreign_root_before_evaluating(name, data):
     ring = VERIFY_RINGS[name]

@@ -39,6 +39,15 @@ def test_construct_with_roots_loads_neither_the_criteria_the_oracle_nor_the_cli(
     assert not loaded & {"ringroots.existence", "ringroots.oracle", "ringroots.cli"}
 
 
+@pytest.mark.parametrize("name", ["degree_n_existence", "invertible_difference_construct",
+                                  "brute_force_exists"])
+def test_the_criteria_and_the_oracle_do_not_load_the_construction(name):
+    # the referee they share with the construction lives in rings
+    loaded = _modules_after(f"import ringroots\nringroots.{name}")
+    assert "ringroots.existence" in loaded
+    assert "ringroots.construct" not in loaded
+
+
 def test_a_quadratic_run_loads_neither_dataclasses_inspect_nor_the_oracle():
     code = ("import io, sys\n"
             f"sys.stdin = io.StringIO({QUADRATIC_DOC!r})\n"

@@ -2,29 +2,14 @@
 elimination against literal element-wise references, and one payload
 per value."""
 
-from fractions import Fraction
-
 import pytest
 
 from ringroots import Matrix
 
-from helpers import F2, F3, F7, QQ, assert_kernel_matches_reference, side_by_side
+from helpers import F2, F3, F7, QQ, RATIONALS, assert_kernel_matches_reference, side_by_side
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
-
-
-BIG = 10**39 + 7  # 40 digits
-
-# Zero, small and negative integers, a shared denominator, pairwise
-# coprime denominators, and 40-digit numerators and denominators.
-RATIONALS = st.one_of(
-    st.just(Fraction(0)),
-    st.builds(Fraction, st.integers(-9, 9)),
-    st.builds(Fraction, st.integers(-30, 30), st.just(6)),
-    st.builds(Fraction, st.integers(-30, 30), st.sampled_from([7, 11, 13])),
-    st.builds(Fraction, st.integers(-(10**40), 10**40), st.sampled_from([1, 3, BIG])),
-)
 
 
 @st.composite
@@ -51,7 +36,7 @@ def _assert_entries(m, expected):
     assert all(m.field.contains(e) for row in m.entries for e in row)
 
 
-@hypothesis.settings(max_examples=120, deadline=None, database=None, derandomize=True)
+@hypothesis.settings(max_examples=120)
 @hypothesis.given(operands())
 def test_int_kernels_match_elementwise_references(abc):
     a, b, c = abc
@@ -67,7 +52,7 @@ def test_int_kernels_match_elementwise_references(abc):
         assert_kernel_matches_reference(m)
 
 
-@hypothesis.settings(max_examples=120, deadline=None, database=None, derandomize=True)
+@hypothesis.settings(max_examples=120)
 @hypothesis.given(operands())
 def test_equal_matrices_have_one_payload(abc):
     a, b, _ = abc

@@ -56,13 +56,16 @@ def test_norm_is_multiplicative():
 def test_inverse_round_trip_on_random_units():
     rng = random.Random(4)
     checked = 0
-    while checked < 200:
+    for _ in range(400):
+        if checked == 200:
+            break
         q = rand_quaternion(rng)
         if not q:
             continue
         assert q * q.inverse() == Quaternion(1)
         assert q.inverse() * q == Quaternion(1)
         checked += 1
+    assert checked == 200
 
 
 def test_power_and_scalar_interop():

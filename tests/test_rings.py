@@ -32,6 +32,7 @@ from helpers import (
     QQ,
     RAT,
     _reference_invert,
+    elements,
     involution_pair,
     rand_element,
     rank_gap_pair,
@@ -43,29 +44,9 @@ st = pytest.importorskip("hypothesis.strategies")
 
 AXIOM_RINGS = [RAT, ScalarRing(F7), M2Q, M2F2, HH]
 
-# Zero, small integers, small and 40-digit numerators over small, coprime
-# and 40-digit denominators.
-RATIONALS = st.one_of(
-    st.just(Fraction(0)),
-    st.builds(Fraction, st.integers(-9, 9)),
-    st.builds(Fraction, st.integers(-30, 30), st.sampled_from([2, 3, 4, 6, 7])),
-    st.builds(Fraction, st.integers(-(10**40), 10**40), st.sampled_from([1, 3, 10**39 + 7])),
-)
-
-
-def elements(ring):
-    if ring == HH:
-        return st.builds(Quaternion, RATIONALS, RATIONALS, RATIONALS, RATIONALS)
-    scalars = RATIONALS if ring.field == QQ else st.integers(0, ring.field.p - 1)
-    if isinstance(ring, ScalarRing):
-        return scalars.map(ring.element)
-    row = st.lists(scalars, min_size=ring.k, max_size=ring.k)
-    grid = st.lists(row, min_size=ring.k, max_size=ring.k)
-    return grid.map(lambda rows: Matrix.from_rows(ring.field, rows))
-
 
 @pytest.mark.parametrize("ring", AXIOM_RINGS, ids=repr)
-@hypothesis.settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@hypothesis.settings(max_examples=200)
 @hypothesis.given(data=st.data())
 def test_ring_axioms_on_random_triples(ring, data):
     a, b, c = data.draw(st.tuples(elements(ring), elements(ring), elements(ring)))

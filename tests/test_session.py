@@ -22,6 +22,12 @@ def test_fails(x):
 '''
 
 
+def test_every_property_runs_under_the_session_profile():
+    hypothesis = pytest.importorskip("hypothesis")
+    profile = hypothesis.settings.default
+    assert (profile.deadline, profile.database, profile.derandomize) == (None, None, True)
+
+
 @pytest.mark.skipif(
     importlib.util.find_spec("libcst") is None or importlib.util.find_spec("hypothesis") is None,
     reason="the failure report imports libcst only when hypothesis and libcst are installed",

@@ -57,7 +57,7 @@ _VALUES = st.one_of(
 )
 
 
-@hypothesis.settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@hypothesis.settings(max_examples=400)
 @hypothesis.given(_VALUES)
 def test_decode_rational_agrees_with_fraction(value):
     if not LIMIT and isinstance(value, str):  # 10**(10**6) would not finish without a limit
@@ -74,7 +74,7 @@ def test_decode_rational_agrees_with_fraction(value):
     assert Fraction(num, den) == want == Fraction(value)
 
 
-@hypothesis.settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@hypothesis.settings(max_examples=300)
 @hypothesis.given(st.integers(), st.integers(min_value=1), st.integers(1, 10**30))
 def test_encode_rational_agrees_with_str_fraction(num, den, common):
     assert encode_rational(num, den) == str(Fraction(num, den))
