@@ -17,7 +17,9 @@ identity, an invertible power difference x1^j - x2^j yields a direct
 construction, ``invertible_difference_construct``, which dispatches on
 the ring once: over a matrix ring it looks the pair up in the memo once
 and, from that one ladder and block set, finds j by one elimination per
-j, with no inverse formed; over H and the fields j = 1.
+j it tries, with no inverse formed, skipping each j that the rank bound
+rank(x1^j - x2^j) <= j*rank(x1 - x2) rules out; over H and the fields
+j = 1.
 ``_difference_columns`` memoises its last pair, keyed on the exact
 (x1, x2, n), so the criterion and the direct construction run on one
 pair build the ladders and blocks once; only these immutable int tuples
@@ -186,13 +188,16 @@ def _ladder_constant_term(coefficients, x: Matrix, ladder) -> Matrix:
 def invertible_difference_construct(x1, x2, n: int) -> Polynomial | None:
     """Direct degree-n construction when some x1^j - x2^j is invertible.
 
-    Scans j = 1, ..., n-1 in increasing order, takes the first invertible
-    power difference, sets every other a_i to zero and solves for
+    Takes the first invertible power difference x1^j - x2^j, j < n, sets
+    every other a_i to zero and solves for
     a_j = (x2^n - x1^n) * (x1^j - x2^j)^-1.  Returns None when every
     power difference is singular; the joint-system criterion may still
     succeed in that case.  Works over any supported ring, not just
     matrices, the ring of x1; over H and the fields, division rings,
-    j = 1 always.  n is at most MAX_DEGREE.
+    j = 1 always.  Over M_k, as x1^j - x2^j = sum_t x1^t (x1 - x2) x2^(j-1-t)
+    has rank at most j*r, r = rank(x1 - x2), the scan goes on after j = 1
+    at j = max(2, ceil(k/r)): one elimination for j = 1, then one per j
+    until the first invertible one.  n is at most MAX_DEGREE.
     """
     ring = _pair_ring(x1, x2, n)
     coefficients = [ring.zero] * (n - 1)
@@ -201,10 +206,12 @@ def invertible_difference_construct(x1, x2, n: int) -> Polynomial | None:
         # k pivots left of the bar mean x1^j - x2^j is invertible, and then
         # the one solution is a_j, without an inverse or a product.
         ladder1, blocks, d = _difference_columns(x1, x2, n)
-        for j in range(1, n):
+        j = 1
+        while j < n:
             outcome = _solve_blocks(ring.field, (blocks[j - 1], blocks[-1]), (d ** (n - j),))
             if outcome.rank == ring.k:
                 break
+            j = j + 1 if j > 1 else max(2, -(-ring.k // outcome.rank))
         else:
             return None
         coefficients[j - 1] = outcome.particular[0]

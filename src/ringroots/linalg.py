@@ -16,7 +16,7 @@ from itertools import chain
 from math import lcm
 from typing import NamedTuple
 
-from .matrices import Matrix, _trusted
+from .matrices import Matrix, _raw, _trusted
 
 
 class StackedSolveOutcome(NamedTuple):
@@ -74,6 +74,7 @@ def _solve_blocks(field, blocks, dens) -> StackedSolveOutcome:
     the ints; free variables are zero.  Block Y_j of the solution comes
     back as the matrix Y_j^T / dens[j]: a caller that scaled C_j by c_j and
     R by c, which moves no rank, pivot or free variable, passes c / c_j.
+    An all-zero block is the canonical zero payload, with no ``normalize``.
     """
     # Each row mod p over F_p, where the elimination needs residues; over
     # Q divided by its content, which changes no solution.
@@ -92,6 +93,8 @@ def _solve_blocks(field, blocks, dens) -> StackedSolveOutcome:
     y = [(0,) * k] * split
     for row, c in zip(work, pivots):
         y[c] = tuple(a * (den // row[c]) for a in row[split:])
-    parts = tuple(_trusted(field, tuple(zip(*y[j * k : (j + 1) * k])), den * d)
-                  for j, d in enumerate(dens))
+    ys = [y[j * k : (j + 1) * k] for j in range(len(dens))]
+    zero = ((0,) * k,) * k
+    parts = tuple(_trusted(field, tuple(zip(*b)), den * d) if any(map(any, b))
+                  else _raw(field, zero, 1) for b, d in zip(ys, dens))
     return StackedSolveOutcome(True, parts, dim, rk, len(pivots))

@@ -11,12 +11,13 @@ built only by the ``entries`` view; JSON goes in and out on the ints,
 through the field's ``decode`` and ``encode`` (over Q one lcm and one
 gcd per matrix in, one gcd per entry out, no ``Fraction``).
 
-Polynomial evaluation runs ``_values``: for each point, one Horner loop
-on the int rows over a common denominator, for both fields, with one
-``normalize`` of the final value instead of one per step (see
-``rings.Ring._values``); over F_p the rows are also reduced mod p every
-few steps.  The existence criteria read their powers off the int ladder
-beside it, ``_power_rows``; the oracle's come from ``Ring.powers``, one
+Polynomial evaluation runs ``_values``: for each point, the int core
+``_value_rows`` runs one Horner loop on the int rows over a common
+denominator, for both fields (over F_p reducing mod p every few steps),
+and ``_values`` gives each value one ``normalize`` instead of one per
+step (see ``rings.Ring._values``); the referee tests the core's ints.
+The existence criteria read their powers off the int ladder beside it,
+``_power_rows``; the oracle's come from ``Ring.powers``, one
 ``Matrix`` product at a time, independent of that kernel.
 
 Entries from outside are validated once, at the boundary:
@@ -210,18 +211,27 @@ def _power_rows(x: Matrix, n: int) -> list:
 
 def _values(coeffs, points) -> tuple:
     """The values sum(coeffs[i] * x**i) at each x of `points`, for a
-    non-empty sequence of square matrices of the points' field and shape.
+    non-empty sequence of square matrices of the points' field and shape:
+    ``_value_rows``'s ints, each normalised once into the canonical
+    payload the operators reach step by step."""
+    field = coeffs[-1].field
+    return tuple([_trusted(field, tuple(map(tuple, acc)), den)
+                  for acc, den in _value_rows(coeffs, points)])
+
+
+def _value_rows(coeffs, points) -> list:
+    """[(A, D) for each x of `points`]: the value at x is the int rows A
+    over D, not normalised, so it is zero when A is over Q and when every
+    entry of A is 0 mod p over F_p.
 
     With c_i = C_i / e_i, x = N / d and L = lcm(e_i), the accumulator
     after k steps is A_k / (L * d**k): A_0 = C_n * (L / e_n) and
     A_k = A_(k-1) N + C_(n-k) * (L / e_(n-k)) * d**k, the accumulator on
     the left.  L and A_0 are formed once for all the points; the scale
     L * d**k / e_(n-k) is taken per step, which measured faster than
-    rescaling every coefficient up front.  Over F_p every den is 1.  Only
-    each final value goes through the field's ``normalize``, so it is the
-    canonical payload the operators reach step by step.  Over F_p a step
-    adds about log2(k*p) bits to the entries, so every ``every`` steps the
-    rows are reduced mod p, keeping them under about 64 + log2(p) bits.
+    rescaling every coefficient up front.  Over F_p every den is 1, and as
+    a step adds about log2(k*p) bits to the entries, the rows are reduced
+    mod p only every ``every`` steps, keeping them under 64 + log2(p) bits.
     """
     top = coeffs[-1]
     field = top.field
@@ -241,8 +251,8 @@ def _values(coeffs, points) -> tuple:
                    for row, c_row in zip(acc, c._rows)]
             if every and step % every == 0:
                 acc = [field.reduce_row(row) for row in acc]
-        values.append(_trusted(field, tuple(map(tuple, acc)), den))
-    return tuple(values)
+        values.append((acc, den))
+    return values
 
 
 def _aligned(a: Matrix, b: Matrix) -> tuple:

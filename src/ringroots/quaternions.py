@@ -196,13 +196,21 @@ class Quaternion:
 
 def _values(coeffs, points) -> tuple:
     """The values sum(coeffs[i] * x**i) at each x of `points`, for a
-    non-empty coefficient sequence.
-
-    With c_i = C_i / e_i, the coefficients go over L = lcm(e_i) once, as
-    numerators C_i * (L / e_i), and ``_value_ints`` evaluates them at
-    each point.  Each value is reduced by one gcd, so it is the canonical
-    payload the operators reach step by step.
+    non-empty coefficient sequence: ``_value_ints`` on the numerators of
+    ``_numerators`` at each point, each value reduced by one gcd, so it
+    is the canonical payload the operators reach step by step.
     """
+    numerators, den = _numerators(coeffs)
+    values = []
+    for x in points:
+        acc, scale = _value_ints(numerators, x)
+        values.append(_trusted(*acc, den * scale))
+    return tuple(values)
+
+
+def _numerators(coeffs) -> tuple:
+    """(numerators, L): the coefficients c_i = C_i / e_i over
+    L = lcm(e_i), as the int 4-tuples C_i * (L / e_i)."""
     den = lcm(*[c._den for c in coeffs])
     numerators = []
     for c in coeffs:
@@ -212,11 +220,7 @@ def _values(coeffs, points) -> tuple:
             s = den // c._den
             n0, n1, n2, n3 = c._n
             numerators.append((n0 * s, n1 * s, n2 * s, n3 * s))
-    values = []
-    for x in points:
-        acc, scale = _value_ints(numerators, x)
-        values.append(_trusted(*acc, den * scale))
-    return tuple(values)
+    return numerators, den
 
 
 def _value_ints(numerators, x) -> tuple:

@@ -64,9 +64,10 @@ class Ring:
         Horner's rule acc -> acc*x + c_i on the payload operators.  The one
         evaluation kernel of a ring: `Polynomial.evaluate`, ``construct._fold``
         and ``existence._constant_term`` call it with one point, and
-        `construct.verify_roots` and the referee below with all the roots.
-        Matrix and quaternion rings run their payload's int kernel instead,
-        which brings the coefficients over one denominator once per call."""
+        `construct.verify_roots` with all the roots.  Matrix and quaternion
+        rings run their payload's int kernel instead, which brings the
+        coefficients over one denominator once per call; the referee below
+        tests that kernel's int core."""
         values = []
         for x in points:
             acc = coeffs[-1]
@@ -96,8 +97,21 @@ def _assert_annihilates(ring: Ring, coeffs, roots):
     """The referee every constructed polynomial passes before it leaves
     the package: RuntimeError unless its coefficients `coeffs` (constant
     term first) vanish at each of `roots` by the ring's evaluation kernel,
-    since anything else can only be a bug."""
-    if any(ring._values(coeffs, roots)):
+    since anything else can only be a bug.  Over a matrix ring and H the
+    kernel's int core is tested directly, with no value normalised: a
+    value is zero when its int numerators are, over F_p once reduced mod p,
+    as the core reduces them only every few steps."""
+    if isinstance(ring, MatrixRing):
+        rows = [row for acc, _ in matrices._value_rows(coeffs, roots) for row in acc]
+        if ring.field.kind == "prime":
+            rows = map(ring.field.reduce_row, rows)
+        nonzero = any(map(any, rows))
+    elif isinstance(ring, QuaternionRing):
+        numerators = quaternions._numerators(coeffs)[0]
+        nonzero = any(any(quaternions._value_ints(numerators, x)[0]) for x in roots)
+    else:
+        nonzero = any(ring._values(coeffs, roots))
+    if nonzero:
         raise RuntimeError("internal error: a constructed polynomial does not annihilate its roots")
 
 

@@ -26,12 +26,14 @@ from ringroots import (
     invertible_difference_construct,
     verify_roots,
 )
-from ringroots import construct, existence, oracle
+from ringroots import construct, existence, matrices, oracle, quaternions
+from ringroots.rings import _assert_annihilates
 
 from helpers import (
     BIG,
     F2,
     F3,
+    F7,
     HH,
     M2F2,
     M2Q,
@@ -47,6 +49,7 @@ from helpers import (
 )
 
 M2F3 = MatrixRing(2, F3)
+M2F7 = MatrixRing(2, F7)
 
 
 def test_conjugate_step_with_identity_value_keeps_the_root():
@@ -221,6 +224,8 @@ def test_every_root_is_checked_before_the_fold():
 # reach their referee.
 _X1, _X2 = M2Q.element([[1, 2], [3, 4]]), M2Q.element([[0, 1], [1, 0]])
 _B1, _B2 = M2F2.element([[0, 1], [0, 0]]), M2F2.element([[1, 0], [0, 1]])
+_C1, _C2 = M2F3.element([[1, 1], [0, 1]]), M2F3.element([[0, 1], [1, 0]])
+_D1, _D2 = M2F7.element([[3, 1], [0, 3]]), M2F7.element([[5, 6], [2, 0]])
 
 
 @pytest.mark.parametrize(
@@ -236,9 +241,18 @@ _B1, _B2 = M2F2.element([[0, 1], [0, 0]]), M2F2.element([[1, 0], [0, 1]])
          lambda: construct_with_roots([_X1, _X2])),
         (oracle, "_constant_term", lambda a0: a0 + M2F2.one,
          lambda: brute_force_exists(_B1, _B2, 2, M2F2)),
+        (existence, "_ladder_constant_term", lambda a0: a0 + M2F3.one,
+         lambda: degree_n_existence(_C1, _C2, 3)),
+        (existence, "_ladder_constant_term", lambda a0: a0 + M2F3.one,
+         lambda: invertible_difference_construct(_C1, _C2, 3)),
+        (construct, "_times_x_minus", lambda c: [c[0] + M2F2.one, *c[1:]],
+         lambda: construct_with_roots([_B1, _B2])),
+        (existence, "_ladder_constant_term", lambda a0: a0 + M2F7.one,
+         lambda: invertible_difference_construct(_D1, _D2, 4)),
     ],
     ids=["criterion-a0", "direct-a0", "conjugated-root-over-H", "times-x-minus-over-M2Q",
-         "oracle-a0"],
+         "oracle-a0", "criterion-a0-over-M2F3", "direct-a0-over-M2F3",
+         "times-x-minus-over-M2F2", "direct-a0-over-M2F7"],
 )
 def test_the_referee_rejects_a_wrong_result(monkeypatch, module, producer, wrong, run):
     # Each producer, made to return a wrong value, must end in the
@@ -248,6 +262,35 @@ def test_the_referee_rejects_a_wrong_result(monkeypatch, module, producer, wrong
     monkeypatch.setattr(module, producer, lambda *args: wrong(original(*args)))
     with pytest.raises(RuntimeError, match="does not annihilate"):
         run()
+
+
+def test_the_referee_reads_residues_over_f_p():
+    # x - r at r over M_2(F_7): the core's unreduced accumulator is
+    # r + (-r) on the residues, a nonzero multiple of 7, which is zero.
+    coeffs, root = (-_D1, M2F7.one), _D1
+    ((acc, den),) = matrices._value_rows(coeffs, (root,))
+    assert den == 1 and any(map(any, acc))
+    assert not any(a % 7 for row in acc for a in row)
+    _assert_annihilates(M2F7, coeffs, (root,))
+
+
+def test_a_passing_referee_normalises_no_value(monkeypatch):
+    # The referee tests the int cores' values as they come; only a
+    # normalised value would go through a `_trusted`.
+    cases = [(degree_n_existence(_X1, _X2, 3).polynomial(), (_X1, _X2)),
+             (invertible_difference_construct(_D1, _D2, 4), (_D1, _D2)),
+             (construct_with_roots([QI, QJ]).result, (QI, QJ))]
+    calls = []
+    for module in (matrices, quaternions):
+        trusted = module._trusted
+        monkeypatch.setattr(module, "_trusted",
+                            lambda *args, trusted=trusted: calls.append(args) or trusted(*args))
+    for poly, roots in cases:
+        _assert_annihilates(poly.ring, poly.coeffs, roots)
+    assert calls == []
+    for poly, roots in cases:
+        assert not any(poly.ring._values(poly.coeffs, roots))
+    assert len(calls) == 6
 
 
 def test_verify_roots_reports_nonzero_residuals():

@@ -1,5 +1,6 @@
 """Rank criteria for two prescribed roots and the direct constructors."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -16,6 +17,7 @@ from ringroots import (
     ScalarRing,
     constant_term,
     degree_n_existence,
+    enumerate_ring,
     invertible_difference_construct,
     quadratic_existence,
     rank,
@@ -233,6 +235,61 @@ def test_direct_construction_over_division_rings():
             x1, x2 = rand_element(rng, ring), rand_element(rng, ring)
             if x1 != x2:
                 assert invertible_difference_construct(x1, x2, n) == reference_direct(x1, x2, n)
+
+
+def _pair_with_difference_rank(rng, k, r):
+    """A seeded M_k(Q) pair (x1, x1 + U V), U of k x r and V of r x k,
+    drawn until rank(x2 - x1) = r, within 50 draws."""
+    for _ in range(50):
+        x1 = rand_matrix(rng, QQ, k)
+        x2 = x1 + rand_matrix(rng, QQ, k, r) * rand_matrix(rng, QQ, r, k)
+        if rank(x2 - x1) == r:
+            return x1, x2
+    raise AssertionError(f"no M_{k}(Q) pair with a difference of rank {r} in 50 draws")
+
+
+def test_the_rank_bounded_direct_scan_matches_the_reference():
+    # After j = 1 finds r = rank(x1 - x2) < k, the scan skips every
+    # j < ceil(k/r), as rank(x1^j - x2^j) <= j*r; the answer must still be
+    # the first invertible j's, as the loop over every j finds it.
+    m2f2 = MatrixRing(2, F2)
+    for x1, x2 in itertools.permutations(enumerate_ring(m2f2), 2):
+        for n in range(2, 5):
+            assert invertible_difference_construct(x1, x2, n) == reference_direct(x1, x2, n)
+    rng = random.Random(23)
+    m3f3 = MatrixRing(3, F3)
+    for _ in range(40):
+        x1, x2 = rand_element(rng, m3f3), rand_element(rng, m3f3)
+        if x1 != x2:
+            for n in range(2, 7):
+                assert invertible_difference_construct(x1, x2, n) == reference_direct(x1, x2, n)
+    for r in (1, 2, 3):
+        for _ in range(3):
+            x1, x2 = _pair_with_difference_rank(rng, 4, r)
+            for n in range(2, 7):
+                assert invertible_difference_construct(x1, x2, n) == reference_direct(x1, x2, n)
+
+
+def test_a_rank_one_difference_costs_one_elimination_below_k(monkeypatch):
+    # Over M_4(Q) with rank(x1 - x2) = 1, no j < 4 can be invertible: at
+    # n = 4 the scan stops after j = 1, at n = 5 it tries j = 1 and j = 4.
+    x1, x2 = _pair_with_difference_rank(random.Random(7), 4, 1)
+    tried = []
+    solve = existence._solve_blocks
+
+    def spy(field, blocks, dens):
+        all_blocks = _difference_columns(x1, x2, n)[1]
+        tried.append(next(j for j, b in enumerate(all_blocks, 1) if b is blocks[0]))
+        return solve(field, blocks, dens)
+
+    monkeypatch.setattr(existence, "_solve_blocks", spy)
+    n = 4
+    assert invertible_difference_construct(x1, x2, n) is None
+    assert tried == [1]
+    n = 5
+    tried.clear()
+    assert invertible_difference_construct(x1, x2, n) == reference_direct(x1, x2, n)
+    assert tried == [1, 4]
 
 
 def test_direct_quadratic_matches_unique_solution():
