@@ -25,11 +25,12 @@ j = 1.
 pair build the ladders and blocks once; only these immutable int tuples
 are kept, never a verdict or a polynomial.  Over a matrix ring the
 constant term a0 = -(x1^n + sum a_i x1^i) is summed from x1's ladder
-over one denominator, one product per nonzero a_i; other rings, the
-public ``constant_term`` and the oracle run the ring's evaluation kernel
-at x1.  The referee ``rings._assert_annihilates`` evaluates every
-returned polynomial at both roots by that kernel before it leaves, so a
-ladder a0 is checked along a path that did not compute it.
+over one denominator, one product per nonzero a_i; other rings and the
+public ``constant_term`` run the ring's evaluation kernel at x1 (the
+oracle sums its witness's a0 from its own ladder mod p).  The referee
+``rings._assert_annihilates`` evaluates every returned polynomial at both
+roots by that kernel before it leaves, so a ladder a0 is checked along a
+path that did not compute it.
 """
 
 from __future__ import annotations
@@ -90,15 +91,13 @@ class CriterionReport(NamedTuple):
         }
 
 
-def _pair_ring(x1, x2, n: int) -> Ring:
-    """The ring of x1, once the roots are distinct, n is within
-    [2, MAX_DEGREE] and x2 is in that ring, checked in that order."""
-    ring = infer_ring(x1)
+def _check_pair(ring: Ring, x1, x2, n: int):
+    """Check that the roots are distinct, that n is within [2, MAX_DEGREE]
+    and that x2 is in ring, the ring of x1, in that order."""
     if x1 == x2:
         raise DomainError("the two prescribed roots must be distinct")
     _check_degree(n)
     ring.check(x2)
-    return ring
 
 
 def _check_degree(n: int):
@@ -123,9 +122,10 @@ def degree_n_existence(x1: Matrix, x2: Matrix, n: int) -> CriterionReport:
 
 
 def _criterion(x1: Matrix, x2: Matrix, n: int) -> CriterionReport:
-    if not isinstance(infer_ring(x1), MatrixRing):
+    ring = infer_ring(x1)
+    if not isinstance(ring, MatrixRing):
         raise MismatchError("existence criteria apply to square matrices over a field")
-    ring = _pair_ring(x1, x2, n)
+    _check_pair(ring, x1, x2, n)
     ladder1, blocks, d = _difference_columns(x1, x2, n)
     outcome = _solve_blocks(ring.field, blocks, [d ** (n - i) for i in range(1, n)])
     coefficients = a0 = None
@@ -199,7 +199,8 @@ def invertible_difference_construct(x1, x2, n: int) -> Polynomial | None:
     at j = max(2, ceil(k/r)): one elimination for j = 1, then one per j
     until the first invertible one.  n is at most MAX_DEGREE.
     """
-    ring = _pair_ring(x1, x2, n)
+    ring = infer_ring(x1)
+    _check_pair(ring, x1, x2, n)
     coefficients = [ring.zero] * (n - 1)
     if isinstance(ring, MatrixRing):
         # a_j (x1^j - x2^j) = x2^n - x1^n is E_j^T (D^(n-j) a_j^T) = -E_n^T:

@@ -4,7 +4,12 @@ The independent referee for the rank criteria: over M_k(F_p) every
 coefficient tuple of a monic polynomial with two given right roots can
 be tried, and `cross_check_criterion` compares that search with
 `degree_n_existence` on every ordered pair of distinct elements.  The
-witness passes ``rings._assert_annihilates``, the package's referee.
+search runs on int rows mod p: each root's powers come from the oracle's
+own ladder ``_ladder`` (x * x^i, never the criteria's ``_power_rows``),
+the differences and the target from those rows, and the witness's a0
+from x1's ladder (``_witness_constant_term``).  The witness passes
+``rings._assert_annihilates``, the package's referee, which evaluates it
+by the int Horner core, a path that computed none of the search.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import DomainError
-from .existence import _check_degree, _constant_term, degree_n_existence
+from .existence import _check_degree, degree_n_existence
 from .matrices import Matrix, _raw
 from .rings import MatrixRing, Ring, _assert_annihilates
 from .scalars import PrimeField
@@ -70,6 +75,31 @@ def _element(ring: MatrixRing, rows: list[tuple[int, ...]], index: int) -> Matri
     return _raw(ring.field, tuple(rows[d] for d in _digits(index, len(rows), ring.k)), 1)
 
 
+def _ladder(x: Matrix, n: int) -> list:
+    """[x^1, ..., x^n] as int rows mod p, for x over F_p: the search's own
+    ladder, each power x * x^i, apart from the criterion's kernel."""
+    p = x.field.p
+    ladder = [x._rows]
+    while len(ladder) < n:
+        cols = tuple(zip(*ladder[-1]))
+        ladder.append(tuple([tuple([sum(map(mul, row, col)) % p for col in cols])
+                             for row in x._rows]))
+    return ladder
+
+
+def _witness_constant_term(field: PrimeField, coefficients, ladder) -> Matrix:
+    """a0 = -(x^n + sum_i a_i x^i) for coefficients (a_1, ..., a_(n-1))
+    over F_p and ladder = [x^1, ..., x^n] as int rows mod p, summed on the
+    ints and reduced mod p once, by one ``_raw``."""
+    p = field.p
+    acc = [[-v for v in row] for row in ladder[-1]]
+    for c, power in zip(coefficients, ladder):
+        cols = tuple(zip(*power))
+        acc = [[v - sum(map(mul, row, col)) for v, col in zip(acc_row, cols)]
+               for acc_row, row in zip(acc, c._rows)]
+    return _raw(field, tuple(tuple([v % p for v in row]) for row in acc), 1)
+
+
 def enumerate_ring(ring: Ring) -> tuple[Matrix, ...]:
     """All p^(k*k) elements of M_k(F_p): the row-major base-p digits of a
     counter, most significant first, so zero comes first."""
@@ -92,29 +122,31 @@ def brute_force_exists(x1: Matrix, x2: Matrix, n: int, ring: MatrixRing) -> Brut
     """Try every (a_1, ..., a_{n-1}) over `ring` for a monic degree-n
     polynomial with right roots x1 and x2.
 
-    A tuple works exactly when a_1 D_1 + ... + a_{n-1} D_{n-1} equals
-    the target -(x2^n - x1^n), where D_i = x2^i - x1^i; a0 cancels from
-    that difference and is then forced by x1, so `count` is the number of
-    such polynomials.  Row r of a D_i is a[r] D_i, so the p^k row
-    products v D_i mod p, concatenated k at a time in digit-counting
-    order, give the table of all p^(k*k) products a D_i as reduced
-    row-major tuples, in `enumerate_ring` order.  For each prefix
-    (a_1, ..., a_{n-2}), in enumeration order, one reduced residual is
-    compared with every product a_{n-1} D_{n-1} by one `list.count`,
-    and `list.index` locates the first hit.  So every tuple is tested, in
-    enumeration order, and matrices are built only for the first
-    witness, which is checked by evaluating the full polynomial at both
-    roots.
+    Both roots must be in `ring` (MismatchError otherwise).  A tuple
+    works exactly when a_1 D_1 + ... + a_{n-1} D_{n-1} equals the target
+    -(x2^n - x1^n), where D_i = x2^i - x1^i, read off the two `_ladder`s
+    as int rows mod p; a0 cancels from that difference and is then forced
+    by x1, so `count` is the number of such polynomials.  Row r of a D_i
+    is a[r] D_i, so the p^k row products v D_i mod p, concatenated k at a
+    time in digit-counting order, give the table of all p^(k*k) products
+    a D_i as reduced row-major tuples, in `enumerate_ring` order.  For
+    each prefix (a_1, ..., a_{n-2}), in enumeration order, one reduced
+    residual is compared with every product a_{n-1} D_{n-1} by one
+    `list.count`, and `list.index` locates the first hit.  So every tuple
+    is tested, in enumeration order, and matrices are built only for the
+    first witness and its a0, summed from x1's ladder; the full
+    polynomial is then checked by evaluating it at both roots.
     """
     size = _checked_size(ring, n)
+    ring.check(x1)
+    ring.check(x2)
     p = ring.field.p
     rows = _row_vectors(ring)
-    x1_powers = ring.powers(x1, n)
-    x2_powers = ring.powers(x2, n)
-    target = [-e % p for row in (x2_powers[n] - x1_powers[n])._rows for e in row]
+    ladder1, ladder2 = _ladder(x1, n), _ladder(x2, n)
+    target = [(a - b) % p for r1, r2 in zip(ladder1[-1], ladder2[-1]) for a, b in zip(r1, r2)]
     tables = []
-    for i in range(1, n):
-        cols = list(zip(*(x2_powers[i] - x1_powers[i])._rows))
+    for power1, power2 in zip(ladder1[:-1], ladder2[:-1]):
+        cols = [[(b - a) % p for a, b in zip(c1, c2)] for c1, c2 in zip(zip(*power1), zip(*power2))]
         row_products = [tuple([sum(map(mul, v, col)) % p for col in cols]) for v in rows]
         table = [()]
         for _ in range(ring.k):
@@ -134,7 +166,7 @@ def brute_force_exists(x1: Matrix, x2: Matrix, n: int, ring: MatrixRing) -> Brut
         return BruteForceResult(None, None, 0)
 
     witness = tuple(_element(ring, rows, d) for d in _digits(first, size, n - 1))
-    a0 = _constant_term(ring, witness, x1)
+    a0 = _witness_constant_term(ring.field, witness, ladder1)
     _assert_annihilates(ring, (a0, *witness, ring.one), (x1, x2))
     return BruteForceResult(witness, a0, count)
 

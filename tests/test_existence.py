@@ -18,6 +18,7 @@ from ringroots import (
     constant_term,
     degree_n_existence,
     enumerate_ring,
+    infer_ring,
     invertible_difference_construct,
     quadratic_existence,
     rank,
@@ -692,6 +693,22 @@ def test_criterion_then_direct_build_each_ladder_once(monkeypatch):
     assert degree_n_existence(x1, x2, 4).exists
     assert invertible_difference_construct(x1, x2, 4) is not None
     assert calls == [4, 4]
+
+
+def test_each_two_root_question_infers_the_ring_once(monkeypatch):
+    calls = []
+
+    def spy(x):
+        calls.append(x)
+        return infer_ring(x)
+
+    monkeypatch.setattr(existence, "infer_ring", spy)
+    rng = random.Random(15)
+    x1, x2 = rand_matrix(rng, QQ, 3), rand_matrix(rng, QQ, 3)
+    assert degree_n_existence(x1, x2, 4).exists
+    assert calls == [x1]
+    assert invertible_difference_construct(x1, x2, 4) is not None
+    assert calls == [x1, x1]
 
 
 def test_direct_construction_reads_the_pair_memo_once(monkeypatch):

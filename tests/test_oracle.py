@@ -9,17 +9,18 @@ from ringroots import (
     DomainError,
     Matrix,
     MatrixRing,
+    MismatchError,
     PrimeField,
     brute_force_exists,
     cross_check_criterion,
     enumerate_ring,
     quadratic_existence,
 )
-from ringroots import matrices, oracle
+from ringroots import matrices, oracle, rings
 from ringroots.existence import MAX_DEGREE
 from ringroots.oracle import MAX_CROSS_CHECK_WORK, MAX_ENUMERATION
 
-from helpers import F2, F3, M2F2, M2Q
+from helpers import F2, F3, M2F2, M2Q, QI
 
 
 def test_enumeration_size_and_uniqueness():
@@ -225,15 +226,22 @@ def test_brute_force_matches_unhoisted_reference(ring, n, pairs):
         assert got == _reference_brute_force(x1, x2, n, ring)
 
 
-def test_brute_force_builds_no_power_from_the_criterion_kernel(monkeypatch):
-    # The oracle referees the criterion, so its powers come from
-    # `Ring.powers` (Matrix products), never from the criterion's int
-    # ladder kernel: with that kernel broken the search answers the same.
+def _seeded_search_cases():
+    """Ten seeded pairs of M_2(F_3) at n = 2 and ten of M_2(F_2) at n = 3."""
     rng = random.Random("oracle-ladders")
     cases = []
     for ring, n in ((MatrixRing(2, F3), 2), (M2F2, 3)):
         elements = list(enumerate_ring(ring))
         cases += [(*rng.sample(elements, 2), n, ring) for _ in range(10)]
+    return cases
+
+
+def test_brute_force_builds_no_power_from_the_criterion_kernel(monkeypatch):
+    # The oracle referees the criterion, so its powers come from its own
+    # int ladder (`oracle._ladder`, x * x^i mod p), never from the
+    # criterion's ladder kernel: with that kernel broken the search
+    # answers the same.
+    cases = _seeded_search_cases()
     expected = [brute_force_exists(*case) for case in cases]
 
     def broken(*args):
@@ -242,3 +250,36 @@ def test_brute_force_builds_no_power_from_the_criterion_kernel(monkeypatch):
     monkeypatch.setattr(matrices, "_power_rows", broken)
     assert [brute_force_exists(*case) for case in cases] == expected
     assert any(result.exists for result in expected)
+
+
+def test_brute_force_computes_a0_without_the_evaluation_kernel(monkeypatch):
+    # a0 is summed from x1's ladder, so the referee, which evaluates the
+    # witness by the int Horner core, checks it along another path; with
+    # the ring's evaluation kernel broken the search answers the same.
+    cases = _seeded_search_cases()
+    expected = [brute_force_exists(*case) for case in cases]
+
+    def broken(*args):
+        raise AssertionError("the oracle read MatrixRing._values")
+
+    monkeypatch.setattr(rings.MatrixRing, "_values", staticmethod(broken))
+    assert [brute_force_exists(*case) for case in cases] == expected
+    assert any(result.exists for result in expected)
+
+
+@pytest.mark.parametrize(
+    "foreign",
+    [Matrix.from_rows(F3, [[1, 0], [0, 1]]), Matrix.identity(F2, 3), QI],
+    ids=["other-field", "other-size", "quaternion"],
+)
+def test_brute_force_rejects_a_root_outside_the_ring(monkeypatch, foreign):
+    # Either root outside M_2(F_2) raises before any table is built: the
+    # search takes no entry product at all.
+    def fail(*args):
+        raise AssertionError("a product was taken before both roots were checked")
+
+    monkeypatch.setattr(oracle, "mul", fail)
+    x = M2F2.element([[0, 1], [1, 1]])
+    for x1, x2 in ((foreign, x), (x, foreign)):
+        with pytest.raises(MismatchError):
+            brute_force_exists(x1, x2, 2, M2F2)
