@@ -27,7 +27,8 @@ are kept, never a verdict or a polynomial.  Over a matrix ring the
 constant term a0 = -(x1^n + sum a_i x1^i) is summed from x1's ladder
 over one denominator, one product per nonzero a_i; other rings and the
 public ``constant_term`` run the ring's evaluation kernel at x1 (the
-oracle sums its witness's a0 from its own ladder mod p).  The referee
+oracle sums its witness's a0 by the same ``_ladder_constant_term`` from
+its own ladder mod p).  The referee
 ``rings._assert_annihilates`` evaluates every returned polynomial at both
 roots by that kernel before it leaves, so a ladder a0 is checked along a
 path that did not compute it.

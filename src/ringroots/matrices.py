@@ -19,7 +19,8 @@ step (see ``rings.Ring._values``); the referee tests the core's ints.
 The existence criteria read their powers off the int ladder beside it,
 ``_power_rows``; the oracle builds its own int ladder mod p
 (``oracle._ladder``, x * x^i), independent of that kernel, and sums the
-witness's a0 from it, so neither kernel here computes the oracle's search.
+witness's a0 from it by ``existence._ladder_constant_term``, so neither
+kernel here computes the oracle's search.
 
 Entries from outside are validated once, at the boundary:
 ``Matrix(...)`` checks every entry against the field, ``from_rows`` and

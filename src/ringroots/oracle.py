@@ -7,7 +7,7 @@ be tried, and `cross_check_criterion` compares that search with
 search runs on int rows mod p: each root's powers come from the oracle's
 own ladder ``_ladder`` (x * x^i, never the criteria's ``_power_rows``),
 the differences and the target from those rows, and the witness's a0
-from x1's ladder (``_witness_constant_term``).  The witness passes
+from x1's ladder by ``existence._ladder_constant_term``.  The witness passes
 ``rings._assert_annihilates``, the package's referee, which evaluates it
 by the int Horner core, a path that computed none of the search.
 """
@@ -19,7 +19,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import DomainError
-from .existence import _check_degree, degree_n_existence
+from .existence import _check_degree, _ladder_constant_term, degree_n_existence
 from .matrices import Matrix, _raw
 from .rings import MatrixRing, Ring, _assert_annihilates
 from .scalars import PrimeField
@@ -85,19 +85,6 @@ def _ladder(x: Matrix, n: int) -> list:
         ladder.append(tuple([tuple([sum(map(mul, row, col)) % p for col in cols])
                              for row in x._rows]))
     return ladder
-
-
-def _witness_constant_term(field: PrimeField, coefficients, ladder) -> Matrix:
-    """a0 = -(x^n + sum_i a_i x^i) for coefficients (a_1, ..., a_(n-1))
-    over F_p and ladder = [x^1, ..., x^n] as int rows mod p, summed on the
-    ints and reduced mod p once, by one ``_raw``."""
-    p = field.p
-    acc = [[-v for v in row] for row in ladder[-1]]
-    for c, power in zip(coefficients, ladder):
-        cols = tuple(zip(*power))
-        acc = [[v - sum(map(mul, row, col)) for v, col in zip(acc_row, cols)]
-               for acc_row, row in zip(acc, c._rows)]
-    return _raw(field, tuple(tuple([v % p for v in row]) for row in acc), 1)
 
 
 def enumerate_ring(ring: Ring) -> tuple[Matrix, ...]:
@@ -166,7 +153,7 @@ def brute_force_exists(x1: Matrix, x2: Matrix, n: int, ring: MatrixRing) -> Brut
         return BruteForceResult(None, None, 0)
 
     witness = tuple(_element(ring, rows, d) for d in _digits(first, size, n - 1))
-    a0 = _witness_constant_term(ring.field, witness, ladder1)
+    a0 = _ladder_constant_term(witness, x1, ladder1)
     _assert_annihilates(ring, (a0, *witness, ring.one), (x1, x2))
     return BruteForceResult(witness, a0, count)
 

@@ -239,7 +239,7 @@ _D1, _D2 = M2F7.element([[3, 1], [0, 3]]), M2F7.element([[5, 6], [2, 0]])
          lambda: construct_with_roots([QI, QJ])),
         (construct, "_times_x_minus", lambda c: [c[0] + M2Q.one, *c[1:]],
          lambda: construct_with_roots([_X1, _X2])),
-        (oracle, "_witness_constant_term", lambda a0: a0 + M2F2.one,
+        (oracle, "_ladder_constant_term", lambda a0: a0 + M2F2.one,
          lambda: brute_force_exists(_B1, _B2, 2, M2F2)),
         (existence, "_ladder_constant_term", lambda a0: a0 + M2F3.one,
          lambda: degree_n_existence(_C1, _C2, 3)),
