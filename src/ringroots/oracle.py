@@ -4,10 +4,12 @@ The independent referee for the rank criteria: over M_k(F_p) every
 coefficient tuple of a monic polynomial with two given right roots can
 be tried, and `cross_check_criterion` compares that search with
 `degree_n_existence` on every ordered pair of distinct elements.  The
-search runs on int rows mod p: each root's powers come from the oracle's
-own ladder ``_ladder`` (x * x^i, never the criteria's ``_power_rows``),
-the differences and the target from those rows, and the witness's a0
-from x1's ladder by ``existence._ladder_constant_term``.  The witness passes
+search runs on int rows mod p, one row of the coefficient equation at a
+time (row r of a * D depends only on row r of a): each root's powers
+come from the oracle's own ladder ``_ladder`` (x * x^i, never the
+criteria's ``_power_rows``), the differences and the target from those
+rows, and the witness's a0 from x1's ladder by
+``existence._ladder_constant_term``.  The witness passes
 ``rings._assert_annihilates``, the package's referee, which evaluates it
 by the int Horner core, a path that computed none of the search.
 """
@@ -25,7 +27,9 @@ from .rings import MatrixRing, Ring, _assert_annihilates
 from .scalars import PrimeField
 
 # Most elements a ring, and most coefficient tuples a pair, the oracle
-# enumerates; more raises DomainError (exit 65).
+# covers; more raises DomainError (exit 65).  The caps bound the tuple
+# space p^(k*k*(n-1)); the row-by-row search visits k * p^(k*(n-1)) row
+# tuples of it.
 MAX_ENUMERATION = 65536
 
 # Most ordered pairs times coefficient tuples one cross-check may try
@@ -69,12 +73,6 @@ def _row_vectors(ring: MatrixRing) -> list[tuple[int, ...]]:
     return list(itertools.product(range(ring.field.p), repeat=ring.k))
 
 
-def _element(ring: MatrixRing, rows: list[tuple[int, ...]], index: int) -> Matrix:
-    """Element `index` of the enumeration: row r is rows[d_r], where d_r
-    is the r-th base-p^k digit of index, most significant first."""
-    return _raw(ring.field, tuple(rows[d] for d in _digits(index, len(rows), ring.k)), 1)
-
-
 def _ladder(x: Matrix, n: int) -> list:
     """[x^1, ..., x^n] as int rows mod p, for x over F_p: the search's own
     ladder, each power x * x^i, apart from the criterion's kernel."""
@@ -90,9 +88,9 @@ def _ladder(x: Matrix, n: int) -> list:
 def enumerate_ring(ring: Ring) -> tuple[Matrix, ...]:
     """All p^(k*k) elements of M_k(F_p): the row-major base-p digits of a
     counter, most significant first, so zero comes first."""
-    size = _ring_size(ring)
-    rows = _row_vectors(ring)
-    return tuple(_element(ring, rows, index) for index in range(size))
+    _ring_size(ring)
+    row_tuples = itertools.product(_row_vectors(ring), repeat=ring.k)
+    return tuple(_raw(ring.field, rows, 1) for rows in row_tuples)
 
 
 class BruteForceResult(NamedTuple):
@@ -107,52 +105,52 @@ class BruteForceResult(NamedTuple):
 
 def brute_force_exists(x1: Matrix, x2: Matrix, n: int, ring: MatrixRing) -> BruteForceResult:
     """Try every (a_1, ..., a_{n-1}) over `ring` for a monic degree-n
-    polynomial with right roots x1 and x2.
+    polynomial with right roots x1 and x2, one row at a time.
 
     Both roots must be in `ring` (MismatchError otherwise).  A tuple
     works exactly when a_1 D_1 + ... + a_{n-1} D_{n-1} equals the target
     -(x2^n - x1^n), where D_i = x2^i - x1^i, read off the two `_ladder`s
     as int rows mod p; a0 cancels from that difference and is then forced
     by x1, so `count` is the number of such polynomials.  Row r of a D_i
-    is a[r] D_i, so the p^k row products v D_i mod p, concatenated k at a
-    time in digit-counting order, give the table of all p^(k*k) products
-    a D_i as reduced row-major tuples, in `enumerate_ring` order.  For
-    each prefix (a_1, ..., a_{n-2}), in enumeration order, one reduced
-    residual is compared with every product a_{n-1} D_{n-1} by one
-    `list.count`, and `list.index` locates the first hit.  So every tuple
-    is tested, in enumeration order, and matrices are built only for the
-    first witness and its a0, summed from x1's ladder; the full
-    polynomial is then checked by evaluating it at both roots.
+    is a[r] D_i, so the k rows of the equation are searched apart and
+    `count` is the product of their hit counts.  For row r, each prefix
+    (a_1[r], ..., a_{n-2}[r]) of row vectors, in digit-counting order,
+    leaves one residual that is looked up among the p^k row products
+    a_{n-1}[r] D_{n-1}; a row with no hit ends the search with count 0.
+    The rows being independent, row r of each a_i from row r's first hit
+    gives the first working tuple in `enumerate_ring` order.  Matrices
+    are built only for that witness and its a0, summed from x1's ladder,
+    and the full polynomial is then checked at both roots.
     """
-    size = _checked_size(ring, n)
+    _checked_size(ring, n)
     ring.check(x1)
     ring.check(x2)
     p = ring.field.p
     rows = _row_vectors(ring)
     ladder1, ladder2 = _ladder(x1, n), _ladder(x2, n)
-    target = [(a - b) % p for r1, r2 in zip(ladder1[-1], ladder2[-1]) for a, b in zip(r1, r2)]
     tables = []
     for power1, power2 in zip(ladder1[:-1], ladder2[:-1]):
         cols = [[(b - a) % p for a, b in zip(c1, c2)] for c1, c2 in zip(zip(*power1), zip(*power2))]
-        row_products = [tuple([sum(map(mul, v, col)) % p for col in cols]) for v in rows]
-        table = [()]
-        for _ in range(ring.k):
-            table = [a + r for a in table for r in row_products]
-        tables.append(table)
+        tables.append([tuple([sum(map(mul, v, col)) % p for col in cols]) for v in rows])
     last = tables.pop()
 
-    count = 0
-    first = None
-    for prefix_index, terms in enumerate(itertools.product(*tables)):
-        residual = tuple((t - sum(e)) % p for t, *e in zip(target, *terms))
-        hits = last.count(residual)
-        if hits and first is None:
-            first = prefix_index * size + last.index(residual)
-        count += hits
-    if first is None:
-        return BruteForceResult(None, None, 0)
+    count = 1
+    firsts = []
+    for row1, row2 in zip(ladder1[-1], ladder2[-1]):
+        target = [(a - b) % p for a, b in zip(row1, row2)]
+        hits = first = 0
+        for prefix_index, terms in enumerate(itertools.product(*tables)):
+            residual = tuple((t - sum(e)) % p for t, *e in zip(target, *terms))
+            found = last.count(residual)
+            if found and not hits:
+                first = prefix_index * len(rows) + last.index(residual)
+            hits += found
+        if not hits:
+            return BruteForceResult(None, None, 0)
+        count *= hits
+        firsts.append(_digits(first, len(rows), n - 1))
 
-    witness = tuple(_element(ring, rows, d) for d in _digits(first, size, n - 1))
+    witness = tuple(_raw(ring.field, tuple(rows[d] for d in digits), 1) for digits in zip(*firsts))
     a0 = _ladder_constant_term(witness, x1, ladder1)
     _assert_annihilates(ring, (a0, *witness, ring.one), (x1, x2))
     return BruteForceResult(witness, a0, count)

@@ -210,20 +210,44 @@ def _reference_brute_force(x1, x2, n, ring):
 
 # The cases search with an empty prefix (n = 2) and with prefixes of one
 # and two coefficients; each samples as many pairs as keep its reference
-# search under about 1 s.
+# search under about 1 s.  `counts` pins the distinct counts its pairs
+# reach: M_3(F_2) has pairs with no polynomial and pairs with several,
+# so a count or a witness that mixes up its three rows shows.
 @pytest.mark.parametrize(
-    "ring, n, pairs",
-    [(MatrixRing(2, F3), 2, 30), (M2F2, 3, 30), (M2F2, 4, 1), (MatrixRing(1, PrimeField(7)), 4, 10)],
-    ids=["ring0-2", "ring1-3", "ring2-4", "ring3-4"],
+    "ring, n, pairs, counts",
+    [
+        (MatrixRing(2, F3), 2, 30, {0, 1, 9}),
+        (M2F2, 3, 30, {16, 64}),
+        (M2F2, 4, 1, {256}),
+        (MatrixRing(1, PrimeField(7)), 4, 10, {49}),
+        (MatrixRing(3, F2), 2, 20, {0, 1, 8, 64}),
+    ],
+    ids=["ring0-2", "ring1-3", "ring2-4", "ring3-4", "ring4-2"],
 )
-def test_brute_force_matches_unhoisted_reference(ring, n, pairs):
+def test_brute_force_matches_unhoisted_reference(ring, n, pairs, counts):
     rng = random.Random(f"oracle-pin/{ring.field.p}/{n}")
     elements = list(enumerate_ring(ring))
+    seen = set()
     for _ in range(pairs):
         x1, x2 = rng.sample(elements, 2)
         result = brute_force_exists(x1, x2, n, ring)
         got = (result.exists, result.count, result.coefficients, result.a0)
         assert got == _reference_brute_force(x1, x2, n, ring)
+        seen.add(result.count)
+    assert seen == counts
+
+
+def test_brute_force_needs_every_row_of_the_target():
+    # Row 0 of the target x1^2 - x2^2 = [[1, 0], [0, 1]] is a row of some
+    # a (x2 - x1) and row 1 is none, so although row 0 alone has hits no
+    # polynomial exists.
+    x1, x2 = M2F2.element([[0, 1], [0, 0]]), M2F2.element([[0, 1], [1, 0]])
+    products = [(a * (x2 - x1)).entries for a in enumerate_ring(M2F2)]
+    target = (x1 * x1 - x2 * x2).entries
+    assert any(rows[0] == target[0] for rows in products)
+    assert not any(rows[1] == target[1] for rows in products)
+    assert brute_force_exists(x1, x2, 2, M2F2) == (None, None, 0)
+    assert _reference_brute_force(x1, x2, 2, M2F2) == (False, 0, None, None)
 
 
 def _seeded_search_cases():
