@@ -12,26 +12,33 @@ particular solution with free variables zero, and the dimension of the
 solution space; solving for all a_i jointly, rather than pinning some at
 zero first, keeps the criterion complete.  The system is built as ints
 from one power ladder per root (``_difference_columns``), block i scaled
-by D^i, which moves no rank, pivot or free variable.  Over any ring with
-identity, an invertible power difference x1^j - x2^j yields a direct
-construction, ``invertible_difference_construct``, which dispatches on
-the ring once: over a matrix ring it looks the pair up in the memo once
-and, from that one ladder and block set, finds j by one elimination per
-j it tries, with no inverse formed, skipping each j that the rank bound
+by m^i, m = lcm of the roots' denominators, which moves no rank, pivot
+or free variable.  Over any ring with identity, an invertible power
+difference x1^j - x2^j yields a direct construction,
+``invertible_difference_construct``, which dispatches on the ring once:
+over a matrix ring it looks the pair up in the memo once and, from that
+one ladder and block set, finds j by one elimination per j it tries,
+with no inverse formed, skipping each j that the rank bound
 rank(x1^j - x2^j) <= j*rank(x1 - x2) rules out; over H and the fields
 j = 1.
 ``_difference_columns`` memoises its last pair, keyed on the exact
-(x1, x2, n), so the criterion and the direct construction run on one
-pair build the ladders and blocks once; only these immutable int tuples
-are kept, never a verdict or a polynomial.  Over a matrix ring the
-constant term a0 = -(x1^n + sum a_i x1^i) is summed from x1's ladder
-over one denominator, one product per nonzero a_i; other rings and the
-public ``constant_term`` run the ring's evaluation kernel at x1 (the
-oracle sums its witness's a0 by the same ``_ladder_constant_term`` from
-its own ladder mod p).  The referee
-``rings._assert_annihilates`` evaluates every returned polynomial at both
-roots by that kernel before it leaves, so a ladder a0 is checked along a
-path that did not compute it.
+(x1, x2, n).  What a pair shares: the ladders and blocks, built once for
+the criterion and the direct construction, and r1 = rank(x1 - x2) with,
+when r1 = k, a1.  The criterion leaves those two beside the blocks at no
+cost: its pivots are leftmost, so r1 counts those in the first block,
+and when there are k of them every pivot is there and its particular
+solution is (a1, 0, ..., 0).  The direct construction then runs no
+j = 1 elimination of its own.  What stays per call: the a0, the report
+or polynomial, and the referee pass; no verdict is kept.  Over a matrix
+ring the constant term a0 = -(x1^n + sum a_i x1^i) is summed from x1's
+ladder over one denominator, one product per nonzero a_i; over H and
+the fields it is -(x1^n + a1 x1) from the powers the direct
+construction already has (the oracle sums its witness's a0 by the same
+``_ladder_constant_term`` from its own ladder mod p), and only the
+public ``constant_term`` runs the ring's evaluation kernel.  The
+referee ``rings._assert_annihilates`` evaluates every returned
+polynomial at both roots by that kernel before it leaves, so every a0
+is checked along a path that did not compute it, and so is a stored a1.
 """
 
 from __future__ import annotations
@@ -127,8 +134,12 @@ def _criterion(x1: Matrix, x2: Matrix, n: int) -> CriterionReport:
     if not isinstance(ring, MatrixRing):
         raise MismatchError("existence criteria apply to square matrices over a field")
     _check_pair(ring, x1, x2, n)
-    ladder1, blocks, d = _difference_columns(x1, x2, n)
+    ladder1, blocks, d, first = _difference_columns(x1, x2, n)
     outcome = _solve_blocks(ring.field, blocks, [d ** (n - i) for i in range(1, n)])
+    # Leftmost pivots: with k of them in the first block, all pivots are
+    # there, and the particular a_1 is the direct construction's j = 1 one.
+    r1 = outcome.rank_first
+    first[:] = r1, outcome.particular[0] if r1 == ring.k else None
     coefficients = a0 = None
     if outcome.consistent:
         coefficients = outcome.particular
@@ -148,24 +159,31 @@ def _criterion(x1: Matrix, x2: Matrix, n: int) -> CriterionReport:
 
 @lru_cache(maxsize=1)
 def _difference_columns(x1: Matrix, x2: Matrix, n: int) -> tuple:
-    """(ladder1, blocks, D), all tuples: ladder1 = (N1^1, ..., N1^n) from
+    """(ladder1, blocks, m, first): ladder1 = (N1^1, ..., N1^n) from
     ``matrices._power_rows``; blocks[i - 1] holds the columns of the int
-    matrix E_i = N1^i d2^i - N2^i d1^i = D^i (x1^i - x2^i) for i < n, and
-    blocks[n - 1] those of -E_n, where x1 = N1/d1, x2 = N2/d2 and
-    D = d1*d2.  Over F_p, D = 1.
+    matrix E_i = N1^i (m/d1)^i - N2^i (m/d2)^i = m^i (x1^i - x2^i) for
+    i < n, and blocks[n - 1] those of -E_n, where x1 = N1/d1, x2 = N2/d2
+    and m = lcm(d1, d2).  Over F_p, m = 1.
 
     The last pair is memoised on the exact (x1, x2, n), the matrices'
     fields included, so the criterion and the direct construction on one
-    pair share its ladders and blocks; the result is tuples throughout,
-    so no caller can change what the next one reads."""
+    pair share its ladders and blocks, which are tuples throughout.  The
+    one mutable part, the list `first`, is where the criterion leaves
+    [r1, a1] from its own elimination: r1 = rank(x1 - x2), and a1 the
+    unique solution of a1 (x1 - x2) = x2^n - x1^n when r1 = k, else None.
+    It is empty until the criterion runs on the pair.  The direct
+    construction reads it in place of its j = 1 elimination.  No a0,
+    report, polynomial or referee pass is kept."""
     d1, d2 = x1._den, x2._den
+    m = lcm(d1, d2)
+    c1, c2 = m // d1, m // d2
     ladder1, ladder2 = _power_rows(x1, n), _power_rows(x2, n)
     blocks = []
     for i in range(1, n + 1):
-        s1, s2 = (d2**i, d1**i) if i < n else (-(d2**i), -(d1**i))
-        blocks.append(tuple([tuple([a * s1 - b * s2 for a, b in zip(c1, c2)])
-                             for c1, c2 in zip(zip(*ladder1[i - 1]), zip(*ladder2[i - 1]))]))
-    return tuple(ladder1), tuple(blocks), d1 * d2
+        s1, s2 = (c1**i, c2**i) if i < n else (-(c1**i), -(c2**i))
+        blocks.append(tuple([tuple([a * s1 - b * s2 for a, b in zip(p1, p2)])
+                             for p1, p2 in zip(zip(*ladder1[i - 1]), zip(*ladder2[i - 1]))]))
+    return tuple(ladder1), tuple(blocks), m, []
 
 
 def _ladder_constant_term(coefficients, x: Matrix, ladder) -> Matrix:
@@ -197,35 +215,45 @@ def invertible_difference_construct(x1, x2, n: int) -> Polynomial | None:
     matrices, the ring of x1; over H and the fields, division rings,
     j = 1 always.  Over M_k, as x1^j - x2^j = sum_t x1^t (x1 - x2) x2^(j-1-t)
     has rank at most j*r, r = rank(x1 - x2), the scan goes on after j = 1
-    at j = max(2, ceil(k/r)): one elimination for j = 1, then one per j
-    until the first invertible one.  n is at most MAX_DEGREE.
+    at j = max(2, ceil(k/r)): one elimination for j = 1, none when the
+    criterion ran on the pair first, then one per j until the first
+    invertible one.  n is at most MAX_DEGREE.
     """
     ring = infer_ring(x1)
     _check_pair(ring, x1, x2, n)
     coefficients = [ring.zero] * (n - 1)
     if isinstance(ring, MatrixRing):
-        # a_j (x1^j - x2^j) = x2^n - x1^n is E_j^T (D^(n-j) a_j^T) = -E_n^T:
-        # k pivots left of the bar mean x1^j - x2^j is invertible, and then
-        # the one solution is a_j, without an inverse or a product.
-        ladder1, blocks, d = _difference_columns(x1, x2, n)
+        # After the criterion on this pair, j = 1 is read off its elimination.
+        ladder1, blocks, d, first = _difference_columns(x1, x2, n)
+        r1, a = first or _power_difference_solve(ring, blocks, d, 1)
         j = 1
-        while j < n:
-            outcome = _solve_blocks(ring.field, (blocks[j - 1], blocks[-1]), (d ** (n - j),))
-            if outcome.rank == ring.k:
-                break
-            j = j + 1 if j > 1 else max(2, -(-ring.k // outcome.rank))
-        else:
-            return None
-        coefficients[j - 1] = outcome.particular[0]
+        if a is None:
+            for j in range(max(2, -(-ring.k // r1)), n):
+                a = _power_difference_solve(ring, blocks, d, j)[1]
+                if a is not None:
+                    break
+            else:
+                return None
+        coefficients[j - 1] = a
         a0 = _ladder_constant_term(coefficients, x1, ladder1)
     else:
         # H and the fields are division rings: x1 - x2 != 0 is a unit, so j = 1.
         powers1, powers2 = ring.powers(x1, n), ring.powers(x2, n)
-        coefficients[0] = (powers2[n] - powers1[n]) * ring.invert(x1 - x2)
-        a0 = _constant_term(ring, coefficients, x1)
+        a1 = coefficients[0] = (powers2[n] - powers1[n]) * ring.invert(x1 - x2)
+        a0 = -(powers1[n] + a1 * x1)
     coeffs = (a0, *coefficients, ring.one)
     _assert_annihilates(ring, coeffs, (x1, x2))
     return Polynomial(ring, coeffs)
+
+
+def _power_difference_solve(ring: MatrixRing, blocks, d: int, j: int) -> tuple:
+    """(rank(x1^j - x2^j), a_j or None) by one elimination:
+    a_j (x1^j - x2^j) = x2^n - x1^n is E_j^T (d^(n-j) a_j^T) = -E_n^T, and
+    k pivots left of the bar mean x1^j - x2^j is invertible, and then the
+    one solution is a_j, without an inverse or a product."""
+    n = len(blocks)
+    outcome = _solve_blocks(ring.field, (blocks[j - 1], blocks[-1]), (d ** (n - j),))
+    return outcome.rank, outcome.particular[0] if outcome.rank == ring.k else None
 
 
 def constant_term(coefficients, x1, x2, n: int):

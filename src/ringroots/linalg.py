@@ -6,12 +6,14 @@ pivot: exact arithmetic needs no pivoting heuristics, and the fixed rule
 keeps outputs reproducible.  The field supplies only the row reduction
 that keeps the entries small.  ``_solve_blocks`` runs it on the augmented
 int rows of a stacked system, which gives both ranks, and reads the
-particular solution off the pivot rows, with no RREF matrix built;
-``rank`` is a thin read of it, the number of pivots of a matrix's rows.
+particular solution off the pivot rows, with no RREF matrix built, and
+the rank of the first unknown block's columns; ``rank`` is a thin read
+of it, the number of pivots of a matrix's rows.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import chain
 from math import lcm
 from typing import NamedTuple
@@ -22,14 +24,17 @@ from .matrices import Matrix, _raw, _trusted
 class StackedSolveOutcome(NamedTuple):
     """Result of `_solve_blocks` for C*Y = R, C = [C_1 | ... | C_m]: one
     particular matrix per unknown block, the ranks of C and of [C | R],
-    and `nullspace_dim`, the free field parameters of the homogeneous
-    system over all unknown rows, consistent or not."""
+    `nullspace_dim`, the free field parameters of the homogeneous system
+    over all unknown rows, consistent or not, and `rank_first`, the rank
+    of C_1 alone: the pivots are leftmost, so it counts those in C_1's
+    columns."""
 
     consistent: bool
     particular: tuple[Matrix, ...] | None
     nullspace_dim: int
     rank: int
     rank_augmented: int
+    rank_first: int
 
 
 def _fraction_free_rref(work, reduce) -> tuple:
@@ -82,10 +87,11 @@ def _solve_blocks(field, blocks, dens) -> StackedSolveOutcome:
     k = len(work)
     pivots = _fraction_free_rref(work, field.reduce_row)
     split = len(work[0]) - k
-    rk = sum(c < split for c in pivots)
+    rk = bisect_left(pivots, split)
     dim = k * (split - rk)
+    first = bisect_left(pivots, k)
     if rk < len(pivots):  # Kronecker-Capelli: a pivot in the R columns
-        return StackedSolveOutcome(False, None, dim, rk, len(pivots))
+        return StackedSolveOutcome(False, None, dim, rk, len(pivots), first)
     # Y is zero in the free rows, and row c of Y, c = pivots[i], is the
     # R part of pivot row i over its pivot, over the pivots' lcm: a unit
     # mod p over F_p, since each pivot is a nonzero residue.
@@ -97,4 +103,4 @@ def _solve_blocks(field, blocks, dens) -> StackedSolveOutcome:
     zero = ((0,) * k,) * k
     parts = tuple(_trusted(field, tuple(zip(*b)), den * d) if any(map(any, b))
                   else _raw(field, zero, 1) for b, d in zip(ys, dens))
-    return StackedSolveOutcome(True, parts, dim, rk, len(pivots))
+    return StackedSolveOutcome(True, parts, dim, rk, len(pivots), first)

@@ -679,6 +679,38 @@ def test_pair_memo_serves_only_its_own_pair():
     assert cold[2] == cold[3] and len(set(cold)) == len(cold) - 1
 
 
+def test_pair_memo_first_block_serves_only_its_own_pair(monkeypatch):
+    # The criterion's r1 and a1 are kept for its exact (x1, x2, n) only: after
+    # the criterion on a predecessor, the direct construction on the next
+    # case (another n, another x2, the roots swapped, another field) runs its
+    # own j = 1 elimination on its own blocks and answers as it does cold.
+    x1, x2 = zero_column_pair()
+    x3 = x2 + M3Q.one
+    rows, other = [[1, 1], [0, 1]], [[0, 1], [1, 0]]
+    ints, other_ints = [[1, 2], [3, 4]], [[2, 0], [1, 1]]
+    cases = [(x1, x2, 3), (x1, x2, 5), (x1, x3, 5), (x3, x1, 5)]
+    for field, a, b in ((F2, rows, other), (F3, rows, other),
+                        (QQ, ints, other_ints), (PrimeField(5), ints, other_ints)):
+        cases.append((Matrix.from_rows(field, a), Matrix.from_rows(field, b), 3))
+    cold = []
+    for case in cases:
+        _difference_columns.cache_clear()
+        cold.append(_dumps(invertible_difference_construct(*case)))
+    first_blocks = []
+    solve = existence._solve_blocks
+
+    def spy(field, blocks, dens):
+        first_blocks.append(blocks[0])
+        return solve(field, blocks, dens)
+
+    monkeypatch.setattr(existence, "_solve_blocks", spy)
+    for prev, case, answer in zip(cases, cases[1:], cold[1:]):
+        degree_n_existence(*prev)
+        first_blocks.clear()
+        assert _dumps(invertible_difference_construct(*case)) == answer
+        assert first_blocks[0] == _difference_columns(*case)[1][0]
+
+
 def test_criterion_then_direct_build_each_ladder_once(monkeypatch):
     calls = []
 
@@ -727,3 +759,99 @@ def test_direct_construction_reads_the_pair_memo_once(monkeypatch):
     assert calls == [4]
     assert invertible_difference_construct(*rank_gap_pair(), 3) is None
     assert calls == [4, 3]
+
+
+def _pairs_for_the_first_block_memo():
+    """Seeded (x1, x2) over M_k(Q), M_k(F_3) and M_k(F_7), k = 2..4, one
+    with a random x2 (mostly an invertible difference) and one with
+    x2 = x1 + u v^T (a rank-one difference) per ring."""
+    rng = random.Random(26)
+    pairs = []
+    for field in (QQ, F3, F7):
+        for k in (2, 3, 4):
+            x1 = rand_matrix(rng, field, k)
+            pairs.append((x1, rand_matrix(rng, field, k)))
+            uv = rand_matrix(rng, field, k, 1) * rand_matrix(rng, field, 1, k)
+            pairs.append((x1, x1 + uv))
+    return [(x1, x2) for x1, x2 in pairs if x1 != x2]
+
+
+def test_direct_after_the_criterion_answers_as_on_a_cold_memo():
+    ranks = set()
+    for x1, x2 in _pairs_for_the_first_block_memo():
+        ranks.add(rank(x1 - x2) == x1.nrows)
+        for n in range(2, 7):
+            _difference_columns.cache_clear()
+            cold = _dumps(invertible_difference_construct(x1, x2, n))
+            degree_n_existence(x1, x2, n)
+            assert _dumps(invertible_difference_construct(x1, x2, n)) == cold
+    assert ranks == {True, False}
+
+
+def test_direct_after_the_criterion_runs_no_j1_elimination(monkeypatch):
+    # An invertible x1 - x2 needs no elimination at all after the criterion;
+    # a rank-one one starts at j = k, so below degree k + 1 it needs none.
+    tried = []
+    solve = existence._solve_blocks
+
+    def spy(field, blocks, dens):
+        tried.append(blocks[0])
+        return solve(field, blocks, dens)
+
+    for x1, x2 in _pairs_for_the_first_block_memo():
+        for n in range(2, 7):
+            monkeypatch.setattr(existence, "_solve_blocks", solve)
+            degree_n_existence(x1, x2, n)
+            monkeypatch.setattr(existence, "_solve_blocks", spy)
+            tried.clear()
+            invertible_difference_construct(x1, x2, n)
+            e1 = _difference_columns(x1, x2, n)[1][0]
+            assert e1 not in tried
+            if rank(x1 - x2) == x1.nrows:
+                assert tried == []
+
+
+def test_a_corrupted_stored_a1_fails_the_referee():
+    rng = random.Random(26)
+    x1, x2 = rand_matrix(rng, QQ, 3), rand_matrix(rng, QQ, 3)
+    assert rank(x1 - x2) == 3
+    degree_n_existence(x1, x2, 4)
+    first = _difference_columns(x1, x2, 4)[3]
+    assert first[0] == 3
+    first[1] = first[1] + M3Q.one
+    with pytest.raises(RuntimeError, match="does not annihilate"):
+        invertible_difference_construct(x1, x2, 4)
+    _difference_columns.cache_clear()
+
+
+def test_division_ring_direct_construction_evaluates_only_in_the_referee(monkeypatch):
+    # Over H and the fields the a0 comes from the powers already built, so
+    # the evaluation kernel runs only inside the referee, which then checks
+    # x1 along a path that did not compute a0.
+    from ringroots import quaternions
+    from ringroots.rings import Ring
+
+    inside, outside = [0], []
+    referee, values, value_ints = (existence._assert_annihilates, Ring._values,
+                                   quaternions._value_ints)
+
+    def in_referee(*args):
+        inside[0] += 1
+        try:
+            return referee(*args)
+        finally:
+            inside[0] -= 1
+
+    def count(kernel):
+        def spy(*args):
+            outside.append(not inside[0])
+            return kernel(*args)
+        return spy
+
+    monkeypatch.setattr(existence, "_assert_annihilates", in_referee)
+    monkeypatch.setattr(Ring, "_values", count(values))
+    monkeypatch.setattr(quaternions, "_value_ints", count(value_ints))
+    assert invertible_difference_construct(QI, QJ, 3) is not None
+    assert invertible_difference_construct(Fraction(2), Fraction(5), 3) is not None
+    assert invertible_difference_construct(F7.element(3), F7.element(5), 4) is not None
+    assert outside and not any(outside)
