@@ -656,7 +656,7 @@ def _both_answers(x1, x2, n):
     return _dumps(degree_n_existence(x1, x2, n)), _dumps(invertible_difference_construct(x1, x2, n))
 
 
-def test_pair_memo_serves_only_its_own_pair():
+def test_pair_memo_serves_only_its_own_pair(monkeypatch):
     # Each case follows one that a memo keyed on less than the exact
     # (x1, x2, n) would mistake it for: the same pair at another n, another
     # x2 for the same x1 and n, the roots swapped, and equal payloads over
@@ -677,25 +677,10 @@ def test_pair_memo_serves_only_its_own_pair():
     # Only the swapped pair shares its answers (the same polynomial kills
     # both roots), so every other case tells its predecessor apart.
     assert cold[2] == cold[3] and len(set(cold)) == len(cold) - 1
-
-
-def test_pair_memo_first_block_serves_only_its_own_pair(monkeypatch):
-    # The criterion's r1 and a1 are kept for its exact (x1, x2, n) only: after
-    # the criterion on a predecessor, the direct construction on the next
-    # case (another n, another x2, the roots swapped, another field) runs its
-    # own j = 1 elimination on its own blocks and answers as it does cold.
-    x1, x2 = zero_column_pair()
-    x3 = x2 + M3Q.one
-    rows, other = [[1, 1], [0, 1]], [[0, 1], [1, 0]]
-    ints, other_ints = [[1, 2], [3, 4]], [[2, 0], [1, 1]]
-    cases = [(x1, x2, 3), (x1, x2, 5), (x1, x3, 5), (x3, x1, 5)]
-    for field, a, b in ((F2, rows, other), (F3, rows, other),
-                        (QQ, ints, other_ints), (PrimeField(5), ints, other_ints)):
-        cases.append((Matrix.from_rows(field, a), Matrix.from_rows(field, b), 3))
-    cold = []
-    for case in cases:
-        _difference_columns.cache_clear()
-        cold.append(_dumps(invertible_difference_construct(*case)))
+    # The criterion's r1 and a1 serve its own case only: after the criterion
+    # on the predecessor, the direct construction runs its own j = 1
+    # elimination on its own blocks, even on the swapped pair, whose a1 is
+    # the same.
     first_blocks = []
     solve = existence._solve_blocks
 
@@ -704,10 +689,10 @@ def test_pair_memo_first_block_serves_only_its_own_pair(monkeypatch):
         return solve(field, blocks, dens)
 
     monkeypatch.setattr(existence, "_solve_blocks", spy)
-    for prev, case, answer in zip(cases, cases[1:], cold[1:]):
+    for prev, case, answers in zip(cases, cases[1:], cold[1:]):
         degree_n_existence(*prev)
         first_blocks.clear()
-        assert _dumps(invertible_difference_construct(*case)) == answer
+        assert _dumps(invertible_difference_construct(*case)) == answers[1]
         assert first_blocks[0] == _difference_columns(*case)[1][0]
 
 
@@ -798,11 +783,10 @@ def test_direct_after_the_criterion_runs_no_j1_elimination(monkeypatch):
         tried.append(blocks[0])
         return solve(field, blocks, dens)
 
+    monkeypatch.setattr(existence, "_solve_blocks", spy)
     for x1, x2 in _pairs_for_the_first_block_memo():
         for n in range(2, 7):
-            monkeypatch.setattr(existence, "_solve_blocks", solve)
             degree_n_existence(x1, x2, n)
-            monkeypatch.setattr(existence, "_solve_blocks", spy)
             tried.clear()
             invertible_difference_construct(x1, x2, n)
             e1 = _difference_columns(x1, x2, n)[1][0]
