@@ -163,7 +163,9 @@ def _difference_columns(x1: Matrix, x2: Matrix, n: int) -> tuple:
     ``matrices._power_rows``; blocks[i - 1] holds the columns of the int
     matrix E_i = N1^i (m/d1)^i - N2^i (m/d2)^i = m^i (x1^i - x2^i) for
     i < n, and blocks[n - 1] those of -E_n, where x1 = N1/d1, x2 = N2/d2
-    and m = lcm(d1, d2).  Over F_p, m = 1.
+    and m = lcm(d1, d2).  Over F_p, m = 1.  At k = 2 each block's two
+    columns are written out entry by entry from N1^i = [[a0, a1], [a2, a3]]
+    and N2^i = [[b0, b1], [b2, b3]].
 
     The last pair is memoised on the exact (x1, x2, n), the matrices'
     fields included, so the criterion and the direct construction on one
@@ -181,6 +183,12 @@ def _difference_columns(x1: Matrix, x2: Matrix, n: int) -> tuple:
     blocks = []
     for i in range(1, n + 1):
         s1, s2 = (c1**i, c2**i) if i < n else (-(c1**i), -(c2**i))
+        if len(ladder1[0]) == 2:
+            (a0, a1), (a2, a3) = ladder1[i - 1]
+            (b0, b1), (b2, b3) = ladder2[i - 1]
+            blocks.append(((a0 * s1 - b0 * s2, a2 * s1 - b2 * s2),
+                           (a1 * s1 - b1 * s2, a3 * s1 - b3 * s2)))
+            continue
         blocks.append(tuple([tuple([a * s1 - b * s2 for a, b in zip(p1, p2)])
                              for p1, p2 in zip(zip(*ladder1[i - 1]), zip(*ladder2[i - 1]))]))
     return tuple(ladder1), tuple(blocks), m, []
@@ -191,13 +199,23 @@ def _ladder_constant_term(coefficients, x: Matrix, ladder) -> Matrix:
     ladder = (N^1, ..., N^n) of x = N/d, with one ``_trusted``: over
     L = lcm of the nonzero a_i's dens (a_i = A_i/e_i), it is
     -(L N^n + sum (L/e_i) d^(n-i) A_i N^i) / (L d^n), one int product
-    per nonzero a_i and none for a zero one."""
+    per nonzero a_i and none for a zero one.  At k = 2 each product is
+    written out entry by entry, A_i = [[c0, c1], [c2, c3]] on the left of
+    N^i = [[m0, m1], [m2, m3]], subtracted from the accumulator's v0..v3;
+    any other k runs the general comprehension."""
     n, d = len(ladder), x._den
     terms = [(i, c) for i, c in enumerate(coefficients, 1) if c]
     lead = lcm(*[c._den for _, c in terms])
     acc = [[-lead * v for v in row] for row in ladder[-1]]
     for i, c in terms:
         s = lead // c._den * d ** (n - i)
+        if len(acc) == 2:
+            (v0, v1), (v2, v3) = acc
+            (c0, c1), (c2, c3) = c._rows
+            (m0, m1), (m2, m3) = ladder[i - 1]
+            acc = ((v0 - s * (c0 * m0 + c1 * m2), v1 - s * (c0 * m1 + c1 * m3)),
+                   (v2 - s * (c2 * m0 + c3 * m2), v3 - s * (c2 * m1 + c3 * m3)))
+            continue
         cols = tuple(zip(*ladder[i - 1]))
         acc = [[v - s * sum(map(mul, row, col)) for v, col in zip(acc_row, cols)]
                for acc_row, row in zip(acc, c._rows)]

@@ -22,6 +22,19 @@ The existence criteria read their powers off the int ladder beside it,
 witness's a0 from it by ``existence._ladder_constant_term``, so neither
 kernel here computes the oracle's search.
 
+At k = 2, the shape of the paper's matrix examples and of every census
+the oracle runs above k = 1, each int kernel of the matrix-pair path
+writes its 2 x 2 step out entry by entry in place of its k-general
+comprehension, chosen by the payload's shape alone: ``_power_rows``
+keeps N^i N, ``_value_rows`` A N + C s, ``_ladder_constant_term``
+A - s C N^i, ``existence._difference_columns`` its scaled difference
+blocks, and the oracle x x^i and v D_i mod p.  Each form is
+written inside its own kernel, in that kernel's orientation, with no
+shared 2 x 2 helper, so the criterion, the oracle and the referee still
+share no product code and a slip in one form cannot pass a referee that
+runs the same slip.  ``Matrix.__mul__`` keeps the general form and stays
+the reference the tests multiply with.
+
 Entries from outside are validated once, at the boundary:
 ``Matrix(...)`` checks every entry against the field, ``from_rows`` and
 ``from_json`` decode every entry through it, and ring descriptors check
@@ -198,10 +211,19 @@ def _power_rows(x: Matrix, n: int) -> list:
     """[N^1, ..., N^n] as int row tuples, for x = N / d a square matrix:
     x^i = N^i / d^i.  Over Q the powers are not normalised, so N^i may
     share a factor with d^i that the canonical x^i divides out; over F_p
-    every power is reduced mod p."""
+    every power is reduced mod p.  At k = 2 each step N^i N is written out
+    entry by entry, N^i = [[a0, a1], [a2, a3]] on the left of N = [[n0, n1],
+    [n2, n3]]; any other k runs the general comprehension."""
     cols = tuple(zip(*x._rows))
     p = x.field.p if x.field.kind == "prime" else 0
     ladder = [x._rows]
+    if len(cols) == 2:
+        (n0, n1), (n2, n3) = x._rows
+        while len(ladder) < n:
+            (a0, a1), (a2, a3) = ladder[-1]
+            power = ((a0 * n0 + a1 * n2, a0 * n1 + a1 * n3),
+                     (a2 * n0 + a3 * n2, a2 * n1 + a3 * n3))
+            ladder.append(tuple([(u % p, v % p) for u, v in power]) if p else power)
     while len(ladder) < n:
         if p:
             power = [tuple([sum(map(mul, row, col)) % p for col in cols]) for row in ladder[-1]]
@@ -234,6 +256,9 @@ def _value_rows(coeffs, points) -> list:
     rescaling every coefficient up front.  Over F_p every den is 1, and as
     a step adds about log2(k*p) bits to the entries, the rows are reduced
     mod p only every ``every`` steps, keeping them under 64 + log2(p) bits.
+    At k = 2 a step is written out entry by entry, A_(k-1) = [[a0, a1],
+    [a2, a3]] on the left of N = [[n0, n1], [n2, n3]], plus C's c0..c3
+    times the scale; any other k runs the general comprehension.
     """
     top = coeffs[-1]
     field = top.field
@@ -249,8 +274,15 @@ def _value_rows(coeffs, points) -> list:
         for step, c in enumerate(reversed(coeffs[:-1]), 1):
             den *= d
             s = den // c._den
-            acc = [[sum(map(mul, row, col)) + v * s for col, v in zip(cols, c_row)]
-                   for row, c_row in zip(acc, c._rows)]
+            if len(cols) == 2:
+                (a0, a1), (a2, a3) = acc
+                (n0, n1), (n2, n3) = x._rows
+                (c0, c1), (c2, c3) = c._rows
+                acc = ((a0 * n0 + a1 * n2 + c0 * s, a0 * n1 + a1 * n3 + c1 * s),
+                       (a2 * n0 + a3 * n2 + c2 * s, a2 * n1 + a3 * n3 + c3 * s))
+            else:
+                acc = [[sum(map(mul, row, col)) + v * s for col, v in zip(cols, c_row)]
+                       for row, c_row in zip(acc, c._rows)]
             if every and step % every == 0:
                 acc = [field.reduce_row(row) for row in acc]
         values.append((acc, den))

@@ -12,6 +12,12 @@ rows, and the witness's a0 from x1's ladder by
 ``existence._ladder_constant_term``.  The witness passes
 ``rings._assert_annihilates``, the package's referee, which evaluates it
 by the int Horner core, a path that computed none of the search.
+
+At k = 2, the shape of every census the caps admit above k = 1,
+the ladder's x * x^i and the row tables' v * D_i are written out entry
+by entry in those two places, not taken from a helper the criterion or
+the referee also runs (see ``matrices``), so the oracle stays an
+independent check of the criterion's own 2 x 2 forms.
 """
 
 from __future__ import annotations
@@ -75,9 +81,17 @@ def _row_vectors(ring: MatrixRing) -> list[tuple[int, ...]]:
 
 def _ladder(x: Matrix, n: int) -> list:
     """[x^1, ..., x^n] as int rows mod p, for x over F_p: the search's own
-    ladder, each power x * x^i, apart from the criterion's kernel."""
+    ladder, each power x * x^i, apart from the criterion's kernel.  At
+    k = 2 the product is written out entry by entry, x = [[x0, x1],
+    [x2, x3]] on the left of x^i = [[y0, y1], [y2, y3]]."""
     p = x.field.p
     ladder = [x._rows]
+    if len(ladder[0]) == 2:
+        (x0, x1), (x2, x3) = x._rows
+        while len(ladder) < n:
+            (y0, y1), (y2, y3) = ladder[-1]
+            ladder.append((((x0 * y0 + x1 * y2) % p, (x0 * y1 + x1 * y3) % p),
+                           ((x2 * y0 + x3 * y2) % p, (x2 * y1 + x3 * y3) % p)))
     while len(ladder) < n:
         cols = tuple(zip(*ladder[-1]))
         ladder.append(tuple([tuple([sum(map(mul, row, col)) % p for col in cols])
@@ -120,7 +134,9 @@ def brute_force_exists(x1: Matrix, x2: Matrix, n: int, ring: MatrixRing) -> Brut
     The rows being independent, row r of each a_i from row r's first hit
     gives the first working tuple in `enumerate_ring` order.  Matrices
     are built only for that witness and its a0, summed from x1's ladder,
-    and the full polynomial is then checked at both roots.
+    and the full polynomial is then checked at both roots.  At k = 2 each
+    table entry v D_i is written out entry by entry, D_i = [[d0, d1],
+    [d2, d3]] read off its columns.
     """
     _checked_size(ring, n)
     ring.check(x1)
@@ -131,6 +147,10 @@ def brute_force_exists(x1: Matrix, x2: Matrix, n: int, ring: MatrixRing) -> Brut
     tables = []
     for power1, power2 in zip(ladder1[:-1], ladder2[:-1]):
         cols = [[(b - a) % p for a, b in zip(c1, c2)] for c1, c2 in zip(zip(*power1), zip(*power2))]
+        if len(cols) == 2:
+            (d0, d2), (d1, d3) = cols
+            tables.append([((v0 * d0 + v1 * d2) % p, (v0 * d1 + v1 * d3) % p) for v0, v1 in rows])
+            continue
         tables.append([tuple([sum(map(mul, v, col)) % p for col in cols]) for v in rows])
     last = tables.pop()
 

@@ -379,6 +379,13 @@ def test_cross_check_emits_census_lines(monkeypatch, capsys):
     assert summary["disagreements"] == 0
 
 
+def test_cross_check_ignores_pretty(monkeypatch, capsys):
+    # One JSON line per pair: --pretty does not indent the census or its summary.
+    doc = {"ring": {"kind": "matrix", "k": 1, "field": {"kind": "prime", "p": 3}}, "n": 2}
+    plain = run_cli(monkeypatch, capsys, ["cross-check"], doc)
+    assert run_cli(monkeypatch, capsys, ["cross-check", "--pretty"], doc) == plain
+
+
 @pytest.mark.parametrize("k, p, n", [(1, 65521, 2), (2, 5, 2), (10000, 3, 2), (2, 3, 30000000)])
 def test_cross_check_over_a_work_limit_exits_65(monkeypatch, capsys, k, p, n):
     doc = {"ring": {"kind": "matrix", "k": k, "field": {"kind": "prime", "p": p}}, "n": n}

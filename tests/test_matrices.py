@@ -198,18 +198,23 @@ def test_boundary_rejects_invalid_entries():
         Matrix.from_json(QQ, [[1, 2], [3]])
 
 
-@pytest.mark.parametrize("p", [2, 65521, 3317044064679887385961813])
-def test_prime_field_horner_matches_the_operator_loop_at_degree_64(p):
+@pytest.mark.parametrize("k, p", [
+    *[pytest.param(6, p, id=str(p)) for p in (2, 65521, 3317044064679887385961813)],
+    *[pytest.param(2, p, id=f"k2-{p}") for p in (3, 3317044064679887385961813)],
+])
+def test_prime_field_horner_matches_the_operator_loop_at_degree_64(k, p):
     # The int kernel reduces its accumulator mod p only every few steps
-    # (every 16th at p = 2, every step at the 25-digit p, and the last
-    # steps at 65521 stay unreduced before the final normalisation); the
-    # value must be the operator loop's, payload for payload.
+    # (at k = 6 every 16th at p = 2, every step at the 25-digit p, and the
+    # last steps at 65521 stay unreduced before the final normalisation;
+    # at k = 2, in its written-out step, every 21st at p = 3 and every
+    # step at the 25-digit p); the value must be the operator loop's,
+    # payload for payload.
     field = PrimeField(p)
-    ring = MatrixRing(6, field)
+    ring = MatrixRing(k, field)
     rng = random.Random(p)
-    poly = Polynomial(ring, [rand_matrix(rng, field, 6) for _ in range(64)] + [ring.one])
+    poly = Polynomial(ring, [rand_matrix(rng, field, k) for _ in range(64)] + [ring.one])
     for _ in range(3):
-        x = rand_matrix(rng, field, 6)
+        x = rand_matrix(rng, field, k)
         value = poly.evaluate(x)
         assert value == Ring._values(ring, poly.coeffs, (x,))[0]
         assert value._den == 1 and all(0 <= a < p for row in value._rows for a in row)
