@@ -102,17 +102,31 @@ def _decode_elements(ring, document, exactly=None):
 
 def _decode_polynomial(obj, ring) -> Polynomial:
     """The verify polynomial, of degree at most MAX_DEGREE.  Entries above
-    index MAX_DEGREE are decoded from the top down, and the first nonzero
-    one raises DomainError before anything below it is decoded."""
+    index MAX_DEGREE are read from the top down: one that is the ring's
+    canonical zero encoding is skipped undecoded, any other is decoded,
+    and the first nonzero one raises DomainError before anything below it
+    is decoded."""
     raw = obj.get("coefficients") if isinstance(obj, dict) else None
     if isinstance(raw, list) and len(raw) > MAX_DEGREE + 1:
         ring = Polynomial.from_json({**obj, "coefficients": []}, ring=ring).ring
+        zero = ring.element_to_json(ring.zero)
         for degree in range(len(raw) - 1, MAX_DEGREE, -1):
-            if not ring.is_zero(ring.element_from_json(raw[degree])):
+            entry = raw[degree]
+            if not _is_exactly(entry, zero) and not ring.is_zero(ring.element_from_json(entry)):
                 raise DomainError(f"polynomial degree {degree} is above the limit "
                                   f"of {MAX_DEGREE} (MAX_DEGREE)")
         obj = {**obj, "coefficients": raw[: MAX_DEGREE + 1]}
     return Polynomial.from_json(obj, ring=ring)
+
+
+def _is_exactly(value, encoding) -> bool:
+    """value == encoding with equal types throughout: JSON 0.0 and false
+    compare equal to 0 in Python, yet only the decoder may judge them."""
+    if type(value) is not type(encoding):
+        return False
+    if type(value) is list:
+        return len(value) == len(encoding) and all(map(_is_exactly, value, encoding))
+    return value == encoding
 
 
 def parse_job(command: str, document, n_flag=None) -> JobSpec:

@@ -10,17 +10,22 @@ gives the rank (pivots left of the bar), the augmented rank (all
 pivots; a solution exists iff they agree, by Kronecker-Capelli), the
 particular solution with free variables zero, and the dimension of the
 solution space; solving for all a_i jointly, rather than pinning some at
-zero first, keeps the criterion complete.  The system is built as ints
-from one power ladder per root (``_difference_columns``), block i scaled
-by m^i, m = lcm of the roots' denominators, which moves no rank, pivot
-or free variable.  Over any ring with identity, an invertible power
-difference x1^j - x2^j yields a direct construction,
+zero first, keeps the criterion complete.  At n = 2 over M_2 this is the
+paper's quadratic criterion, a determinant test: the system is the one
+2 x 2 block a_1 (x1 - x2) = x2^2 - x1^2, which ``linalg._solve_blocks``
+reads off det(x1 - x2) with no elimination.  A monic quadratic exists
+when det(x1 - x2) != 0, and when x1 - x2 has rank one exactly when
+the rows of x2^2 - x1^2 lie in the row space of x1 - x2.  The system
+is built as ints from one power ladder per root (``_difference_columns``),
+block i scaled by m^i, m = lcm of the roots' denominators, which moves
+no rank, pivot or free variable.  Over any ring with identity, an
+invertible power difference x1^j - x2^j yields a direct construction,
 ``invertible_difference_construct``, which dispatches on the ring once:
 over a matrix ring it looks the pair up in the memo once and, from that
-one ladder and block set, finds j by one elimination per j it tries,
-with no inverse formed, skipping each j that the rank bound
-rank(x1^j - x2^j) <= j*rank(x1 - x2) rules out; over H and the fields
-j = 1.
+one ladder and block set, finds j by one solve per j it tries (at k = 2
+a determinant, with no elimination), with no inverse formed, skipping
+each j that the rank bound rank(x1^j - x2^j) <= j*rank(x1 - x2) rules
+out; over H and the fields j = 1.
 ``_difference_columns`` memoises its last pair, keyed on the exact
 (x1, x2, n).  What a pair shares: the ladders and blocks, built once for
 the criterion and the direct construction, and r1 = rank(x1 - x2) with,

@@ -9,6 +9,15 @@ int rows of a stacked system, which gives both ranks, and reads the
 particular solution off the pivot rows, with no RREF matrix built, and
 the rank of the first unknown block's columns; ``rank`` is a thin read
 of it, the number of pivots of a matrix's rows.
+
+One shape takes no elimination: a system of k = 2 rows with one unknown
+block, C*Y = R with C and R 2 x 2, is read off det(C) by
+``_solve_2x2``.  ``_solve_blocks`` picks it from the blocks' shape
+alone, with no option.  It is the paper's quadratic criterion over M_2
+(n = 2), every j of the direct construction at k = 2, and the inverse in
+M_2.  It gives the outcome the elimination gives, pivot rule and free
+variables included; the brute-force oracle and the evaluation referee
+share no code with it, so they still check every answer it returns.
 """
 
 from __future__ import annotations
@@ -80,7 +89,12 @@ def _solve_blocks(field, blocks, dens) -> StackedSolveOutcome:
     back as the matrix Y_j^T / dens[j]: a caller that scaled C_j by c_j and
     R by c, which moves no rank, pivot or free variable, passes c / c_j.
     An all-zero block is the canonical zero payload, with no ``normalize``.
+
+    With k = 2 rows and one unknown block the outcome is read off det(C)
+    by ``_solve_2x2`` instead; every other shape runs the elimination.
     """
+    if len(blocks) == 2 and len(blocks[1]) == 2:
+        return _solve_2x2(field, *blocks, dens[0])
     # Each row mod p over F_p, where the elimination needs residues; over
     # Q divided by its content, which changes no solution.
     work = [field.reduce_row(list(chain.from_iterable(parts))) for parts in zip(*blocks)]
@@ -104,3 +118,57 @@ def _solve_blocks(field, blocks, dens) -> StackedSolveOutcome:
     parts = tuple(_trusted(field, tuple(zip(*b)), den * d) if any(map(any, b))
                   else _raw(field, zero, 1) for b, d in zip(ys, dens))
     return StackedSolveOutcome(True, parts, dim, rk, len(pivots), first)
+
+
+def _solve_2x2(field, c, r, d: int) -> StackedSolveOutcome:
+    """`_solve_blocks` for C*Y = R with C = [[c0, c1], [c2, c3]] and R =
+    [[r0, r1], [r2, r3]] int rows, by the determinant: the same outcome
+    as the elimination, Y coming back as the matrix Y^T / d.  Over F_p
+    det(C) is taken mod p first, and in the singular cases every entry.
+
+    - det(C) != 0: rank 2, and Y = adj(C) R / det(C).
+    - det(C) = 0, C != 0: rank 1.  The pivot is the one Gauss-Jordan
+      picks, the first nonzero entry pv of the leftmost nonzero column;
+      with f the other row's entry there, the system is consistent when
+      pv*R[other] - f*R[pivot] = 0.  Row col of Y, col the pivot's
+      column, is then R[pivot] / pv, and the free row is zero.
+    - C = 0: rank 0, the augmented rank is rank(R), and Y = 0 when R = 0.
+
+    Over Q a negative det(C) or pv moves its sign to the numerators, as
+    ``normalize`` takes a positive denominator."""
+    (c0, c1), (c2, c3) = c
+    (r0, r1), (r2, r3) = r
+    p = field.p if field.kind == "prime" else 0
+    det = c0 * c3 - c1 * c2
+    if p:
+        det %= p
+    if det:
+        if det < 0:  # over Q; adj(-C) = -adj(C)
+            det, c0, c1, c2, c3 = -det, -c0, -c1, -c2, -c3
+        rows = ((c3 * r0 - c1 * r2, c0 * r2 - c2 * r0), (c3 * r1 - c1 * r3, c0 * r3 - c2 * r1))
+        return StackedSolveOutcome(True, (_trusted(field, rows, det * d),), 0, 2, 2, 2)
+    if p:
+        c0, c1, c2, c3, r0, r1, r2, r3 = [a % p for a in (c0, c1, c2, c3, r0, r1, r2, r3)]
+    if c0 or c2:
+        col, u, v = 0, c0, c2
+    elif c1 or c3:
+        col, u, v = 1, c1, c3
+    else:
+        det = r0 * r3 - r1 * r2
+        if p:
+            det %= p
+        ra = 2 if det else 1 if r0 or r1 or r2 or r3 else 0
+        if ra:
+            return StackedSolveOutcome(False, None, 4, 0, ra, 0)
+        return StackedSolveOutcome(True, (_raw(field, ((0, 0), (0, 0)), 1),), 4, 0, 0, 0)
+    # The pivot row is the first with a nonzero entry in column col.
+    pv, f, s0, s1, t0, t1 = (u, v, r0, r1, r2, r3) if u else (v, 0, r2, r3, r0, r1)
+    e0, e1 = pv * t0 - f * s0, pv * t1 - f * s1
+    if p:
+        e0, e1 = e0 % p, e1 % p
+    if e0 or e1:
+        return StackedSolveOutcome(False, None, 2, 1, 2, 1)
+    if pv < 0:
+        pv, s0, s1 = -pv, -s0, -s1
+    rows = ((s0, 0), (s1, 0)) if col == 0 else ((0, s0), (0, s1))
+    return StackedSolveOutcome(True, (_trusted(field, rows, pv * d),), 2, 1, 1, 1)
