@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import ringroots
 from ringroots import Polynomial, QuaternionRing, cli
+from ringroots.rings import Ring
 from ringroots.errors import _echo
 from ringroots.scalars import MAX_MODULUS
 
@@ -254,6 +255,43 @@ def test_verify_padded_above_the_limit_with_spelled_zeros(monkeypatch, capsys, z
     assert code == 1
     doc["polynomial"]["coefficients"] = coefficients + [pad(zero)] * (cli.MAX_DEGREE + 10)
     assert run_cli(monkeypatch, capsys, ["verify"], doc) == (1, plain, "")
+
+
+@pytest.mark.parametrize("ring, coefficients, element, zero, misspelled", [
+    (QUAT_RING, [["1", "0", "0", "0"], ["0", "1/2", "0", "0"]], ["0", "0", "1", "0"],
+     ["0", "0", "0", "0"], None),
+    (MAT2_RING, [[["1", "0"], ["0", "1"]], [["0", "1/2"], ["0", "0"]]], [["0", "0"], ["1", "0"]],
+     [["0", "0"], ["0", "0"]], None),
+    ({"kind": "matrix", "k": 2, "field": {"kind": "prime", "p": 3}},
+     [[[1, 0], [0, 1]], [[0, 2], [0, 0]]], [[0, 0], [1, 0]], [[0, 0], [0, 0]], [[0, 0], [0.0, 0]]),
+    ({"kind": "field", "field": {"kind": "prime", "p": 5}}, [1, 2], 2, 0, False),
+], ids=["quaternion", "matrix", "matrix-f3", "f5"])
+def test_verify_never_decodes_canonical_zero_padding(monkeypatch, capsys, ring, coefficients,
+                                                     element, zero, misspelled):
+    # Padding above MAX_DEGREE that is exactly the ring's canonical zero
+    # encoding is skipped undecoded: only the padding up to MAX_DEGREE,
+    # which becomes coefficients, reaches the decoder.  A spelling equal
+    # to it in Python but of another JSON type (0.0, false) still does,
+    # and fails there.
+    decoded = []
+    element_from_json = Ring.element_from_json
+
+    def spy(self, obj):
+        decoded.append(obj)
+        return element_from_json(self, obj)
+
+    monkeypatch.setattr(Ring, "element_from_json", spy)
+    doc = {"polynomial": {"ring": ring, "coefficients": coefficients}, "elements": [element]}
+    plain = run_cli(monkeypatch, capsys, ["verify"], doc)
+    plain_decoded = len(decoded)
+    doc["polynomial"]["coefficients"] = coefficients + [zero] * 20_000
+    assert run_cli(monkeypatch, capsys, ["verify"], doc) == plain
+    assert len(decoded) - 2 * plain_decoded == cli.MAX_DEGREE + 1 - len(coefficients)
+    if misspelled is not None:
+        doc["polynomial"]["coefficients"] = coefficients + [zero] * 100 + [misspelled]
+        code, out, err = run_cli(monkeypatch, capsys, ["verify"], doc)
+        assert (code, out) == (64, "")
+        assert "cannot interpret" in err and "Traceback" not in err
 
 
 def test_construct_over_max_roots_exits_65(monkeypatch, capsys):

@@ -2,13 +2,17 @@
 solver `_solve_blocks` that runs it.
 
 The elimination is checked against the element-wise `reference_rref`.
-The solver gets cross-checked three independent ways: re-substitution of
-every particular solution, the stacked-rows rank formulation, and (over
-small prime fields) literal enumeration of all candidate solutions.
+The solver gets cross-checked four independent ways: re-substitution of
+every particular solution, the stacked-rows rank formulation, (over
+small prime fields) literal enumeration of all candidate solutions, and
+the element-wise `_reference_stacked_solve`.  The last two cover every
+input of the k = 2 closed form over F_2 and F_3, and 40-digit inputs of
+each rank and sign over Q.
 """
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
@@ -16,6 +20,7 @@ import pytest
 
 from ringroots import (
     Matrix,
+    MatrixRing,
     MismatchError,
     PrimeField,
     rank,
@@ -29,6 +34,8 @@ from helpers import (
     M2Q,
     M3Q,
     QQ,
+    _reference_invert,
+    _reference_stacked_solve,
     assert_kernel_matches_reference,
     involution_pair,
     rand_matrix,
@@ -46,11 +53,50 @@ def _solve(blocks, rhs):
     return _solve_blocks(rhs.field, columns, (1,) * len(blocks))
 
 
-def enumerate_f2_matrices():
-    ms = []
-    for bits in itertools.product((0, 1), repeat=4):
-        ms.append(Matrix.from_rows(F2, [bits[:2], bits[2:]]))
-    return ms
+def enumerate_m2(field):
+    """Every element of M_2(F_p), p = field.p."""
+    return [Matrix.from_rows(field, [e[:2], e[2:]])
+            for e in itertools.product(range(field.p), repeat=4)]
+
+
+def assert_matches_reference(outcome, a, b):
+    """The outcome of X*a = b against the element-wise
+    `_reference_stacked_solve`: consistency, both ranks, the dimension
+    and the particular matrix.  With one unknown block every pivot left
+    of the bar is in it, so `rank_first` is the rank."""
+    consistent, particular, dim, rk, rank_augmented = _reference_stacked_solve((a,), b)
+    assert (outcome.consistent, outcome.rank, outcome.rank_augmented, outcome.nullspace_dim,
+            outcome.rank_first) == (consistent, rk, rank_augmented, dim, rk)
+    assert outcome.particular == particular
+
+
+def _big(rng):
+    return Fraction(rng.randint(-10**40, 10**40), rng.randint(1, 10**40))
+
+
+def _m2q_case(rng, rank_a):
+    """(a, b) in M_2(Q) with 40-digit entries and rank(a) = rank_a; b is
+    consistent with a (X*a = b solvable) in about half the cases.  A
+    rank-one a = u v^T has a zero in u or v a third of the time each, so
+    the pivot (the first nonzero entry of a's first nonzero row, C being
+    a^T) moves between rows and columns."""
+    v = [_big(rng), _big(rng)]
+    if rank_a == 0:
+        a = [[0, 0], [0, 0]]
+    elif rank_a == 1:
+        u = [_big(rng), _big(rng)]
+        zeroed = rng.choice([None, u, v])
+        if zeroed is not None:
+            zeroed[rng.randrange(2)] = 0
+        a = [[x * y for y in v] for x in u]
+    else:
+        a = [[_big(rng), _big(rng)], [_big(rng), _big(rng)]]
+    if rng.random() < 0.5:  # the rows of b in the row space of a
+        x = [[_big(rng), _big(rng)], [_big(rng), _big(rng)]]
+        b = [[sum(x[i][t] * a[t][j] for t in range(2)) for j in range(2)] for i in range(2)]
+    else:
+        b = [[_big(rng), _big(rng)], [_big(rng), _big(rng)]]
+    return Matrix.from_rows(QQ, a), Matrix.from_rows(QQ, b)
 
 
 def test_rref_rank_of_singular_difference():
@@ -211,11 +257,26 @@ def test_consistency_matches_stacked_rank_formulation():
     # X*a = b is solvable iff stacking b's rows under a's leaves the rank
     rng = random.Random(9)
     seen = {True: 0, False: 0}
-    for _ in range(300):
-        field = rng.choice([QQ, F2, F3])
-        k = rng.randint(1, 3)
-        a = rand_matrix(rng, field, k)
-        b = rand_matrix(rng, field, k)
+    cases = [(rand_matrix(rng, field, k), rand_matrix(rng, field, k))
+             for field, k in ((rng.choice([QQ, F2, F3]), rng.randint(1, 3)) for _ in range(300))]
+    # M_2(Q) with 40-digit entries, a of rank 0, 1 and 2, checked against
+    # the element-wise reference too: the k = 2 solve reads these off
+    # det(a), and over Q a negative det(a) or rank-one pivot must leave
+    # a positive denominator.
+    kinds = set()
+    for i in range(600):
+        a, b = _m2q_case(rng, i % 3)
+        e = a.entries
+        det = e[0][0] * e[1][1] - e[0][1] * e[1][0]
+        pivot = next((x for row in e for x in row if x), 0)
+        outcome = _solve((a,), b)
+        assert_matches_reference(outcome, a, b)
+        kinds.add((i % 3, (det if i % 3 == 2 else pivot) < 0, outcome.consistent))
+        cases.append((a, b))
+    assert kinds == {(r, neg, ok) for r in (0, 1, 2) for neg in (r > 0, False)
+                     for ok in (True, r == 2)}
+    for a, b in cases:
+        field = a.field
         outcome = _solve((a,), b)
         assert outcome.consistent == (rank(Matrix(field, a.entries + b.entries)) == rank(a))
         if outcome.consistent:
@@ -225,21 +286,29 @@ def test_consistency_matches_stacked_rank_formulation():
 
 
 def test_solution_count_is_p_to_the_dim_over_f2():
-    # exhaustive enumeration over M_2(F_2) pins the dimension bookkeeping
-    all_ms = enumerate_f2_matrices()
-    rng = random.Random(10)
-    consistent_seen = 0
-    for _ in range(60):
-        a = rng.choice(all_ms)
-        b = rng.choice(all_ms)
-        outcome = _solve((a,), b)
-        count = sum(1 for x in all_ms if x * a == b)
-        if outcome.consistent:
-            consistent_seen += 1
-            assert count == 2**outcome.nullspace_dim
-        else:
-            assert count == 0
-    assert consistent_seen > 10
+    # every pair (a, b) of M_2(F_2), and of M_2(F_3): the count of X with
+    # X*a = b pins the dimension bookkeeping, and the element-wise
+    # reference every other part of the outcome.  These are all the
+    # inputs of the k = 2 solve over these fields, ranks 0, 1 and 2.
+    for field in (F2, F3):
+        all_ms = enumerate_m2(field)
+        products = {a: Counter(x * a for x in all_ms) for a in all_ms}
+        consistent_seen = 0
+        for a in all_ms:
+            for b in all_ms:
+                outcome = _solve((a,), b)
+                assert_matches_reference(outcome, a, b)
+                # the same system on ints off their residues by +-p: the
+                # solver takes them mod p itself
+                shifted = [[[e + (-1) ** (i + j) * field.p for j, e in enumerate(col)]
+                            for i, col in enumerate(zip(*m._rows))] for m in (a, b)]
+                assert _solve_blocks(field, shifted, (1,)) == outcome
+                if outcome.consistent:
+                    consistent_seen += 1
+                    assert products[a][b] == field.p**outcome.nullspace_dim
+                else:
+                    assert products[a][b] == 0
+        assert consistent_seen > 10
 
 
 def test_solve_stacked_cubic_system():
@@ -303,3 +372,10 @@ def test_matrix_inverse():
     assert m * inv == Matrix.identity(QQ, 2)
     with pytest.raises(MismatchError):
         M2Q.invert(Matrix.from_rows(QQ, [[1, 2]]))
+    # every element of M_2(F_2) and M_2(F_3), and 40-digit M_2(Q)
+    # elements of rank 1 and 2, against the element-wise reference
+    rng = random.Random(11)
+    for ring, ms in ((MatrixRing(2, F2), enumerate_m2(F2)), (MatrixRing(2, F3), enumerate_m2(F3)),
+                     (M2Q, [_m2q_case(rng, 1 + i % 2)[0] for i in range(100)])):
+        for a in ms:
+            assert ring.invert(a) == _reference_invert(ring, a)
