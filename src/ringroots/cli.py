@@ -17,9 +17,9 @@ stderr.  Exit codes are a stable contract:
         limit exceeded: prime modulus, degree over MAX_DEGREE, a verify
         polynomial of degree over MAX_DEGREE, a construct document of
         more than MAX_ROOTS elements, a cross-check over
-        MAX_ENUMERATION ring elements or coefficient tuples per pair or
-        over MAX_CROSS_CHECK_WORK pair-tuple checks, or a result number
-        with more digits than Python's int/str conversion limit)
+        MAX_ENUMERATION row tuples per row of a pair or over
+        MAX_CROSS_CHECK_WORK row tuples in all, or a result number with
+        more digits than Python's int/str conversion limit)
     70  internal error (an unexpected exception; EX_SOFTWARE)
 """
 

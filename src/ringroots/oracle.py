@@ -13,6 +13,11 @@ rows, and the witness's a0 from x1's ladder by
 ``rings._assert_annihilates``, the package's referee, which evaluates it
 by the int Horner core, a path that computed none of the search.
 
+Its limits count what the search walks, the row tuples per row, and a
+cross-check's whole census of them; only `enumerate_ring` counts the
+ring's elements, so a pair of a ring too large to list, M_5(F_2) say,
+is searched all the same.
+
 At k = 2, the shape of every census the caps admit above k = 1,
 the ladder's x * x^i and the row tables' v * D_i are written out entry
 by entry in those two places, not taken from a helper the criterion or
@@ -32,38 +37,45 @@ from .matrices import Matrix, _raw
 from .rings import MatrixRing, Ring, _assert_annihilates
 from .scalars import PrimeField
 
-# Most elements a ring, and most coefficient tuples a pair, the oracle
-# covers; more raises DomainError (exit 65).  The caps bound the tuple
-# space p^(k*k*(n-1)); the row-by-row search visits k * p^(k*(n-1)) row
-# tuples of it.
+# Most elements `enumerate_ring` lists, p^(k*k), and most row tuples
+# the search walks per row of a pair, p^(k*(n-1)); more raises
+# DomainError (exit 65).  M_4(F_2) is listed whole, and searched up to
+# n = 5 (exactly 2^16 row tuples per row).  The row tables add at most
+# (n - 1) * p^k <= (n - 1) * p^(k*(n-1)) entries, so the costliest pair
+# admitted, M_16(F_2) at n = 2, takes about a second.
 MAX_ENUMERATION = 65536
 
-# Most ordered pairs times coefficient tuples one cross-check may try
-# (M_2(F_3) at n = 2 needs 524,880); more raises DomainError (exit 65).
+# Most row tuples one cross-check may walk: ordered pairs times the k
+# rows of p^(k*(n-1)) row tuples each.  M_2(F_2) is admitted up to n = 6
+# (491,520) and M_2(F_3) at n = 2 (116,640); M_2(F_2) at n = 7
+# (1,966,080) and M_2(F_3) at n = 3 (1,049,760) raise DomainError
+# (exit 65).  As s(s - 1) <= 2^20, it also keeps the ring size s under
+# MAX_ENUMERATION.
 MAX_CROSS_CHECK_WORK = 2**20
 
 
-def _ring_size(ring: Ring) -> int:
-    """p^(k*k), the element count of ring = M_k(F_p), once it passes the cap."""
+def _prime_order(ring: Ring) -> int:
+    """p, for ring = M_k(F_p); DomainError for any other ring."""
     if not isinstance(ring, MatrixRing) or not isinstance(ring.field, PrimeField):
         raise DomainError("only matrix rings over a prime field can be enumerated")
-    p, e = ring.field.p, ring.k * ring.k
+    return ring.field.p
+
+
+def _capped_power(p: int, e: int, counted: str) -> int:
+    """p^e, or DomainError when it is above MAX_ENUMERATION; `counted`
+    says what p^e counts, with {} where the power goes."""
     # p >= 2, so p^e > MAX_ENUMERATION for every e >= its bit length: the
-    # power decides the cap without building p^(k*k) for a large k.
+    # power decides the cap without building p^e for a large e.
     if p ** min(e, MAX_ENUMERATION.bit_length()) > MAX_ENUMERATION:
-        raise DomainError(f"ring has {p}^{e} elements, above the cap of {MAX_ENUMERATION}")
+        raise DomainError(f"{counted.format(f'{p}^{e}')}, above the cap of {MAX_ENUMERATION}")
     return p**e
 
 
-def _checked_size(ring: Ring, n: int) -> int:
-    """_ring_size(ring), once the degree n and the size^(n-1) coefficient
-    tuples per pair also pass their caps."""
+def _row_tuples(ring: Ring, n: int) -> int:
+    """p^(k*(n-1)), the row tuples the search walks per row of a pair of
+    ring = M_k(F_p) at degree n, once n and that count pass their caps."""
     _check_degree(n)
-    size = _ring_size(ring)
-    tuples = size ** (n - 1)
-    if tuples > MAX_ENUMERATION:
-        raise DomainError(f"{tuples} coefficient tuples, above the cap of {MAX_ENUMERATION}")
-    return size
+    return _capped_power(_prime_order(ring), ring.k * (n - 1), "{} row tuples per row")
 
 
 def _digits(index: int, base: int, count: int) -> list[int]:
@@ -102,7 +114,7 @@ def _ladder(x: Matrix, n: int) -> list:
 def enumerate_ring(ring: Ring) -> tuple[Matrix, ...]:
     """All p^(k*k) elements of M_k(F_p): the row-major base-p digits of a
     counter, most significant first, so zero comes first."""
-    _ring_size(ring)
+    _capped_power(_prime_order(ring), ring.k * ring.k, "ring has {} elements")
     row_tuples = itertools.product(_row_vectors(ring), repeat=ring.k)
     return tuple(_raw(ring.field, rows, 1) for rows in row_tuples)
 
@@ -138,7 +150,7 @@ def brute_force_exists(x1: Matrix, x2: Matrix, n: int, ring: MatrixRing) -> Brut
     table entry v D_i is written out entry by entry, D_i = [[d0, d1],
     [d2, d3]] read off its columns.
     """
-    _checked_size(ring, n)
+    _row_tuples(ring, n)
     ring.check(x1)
     ring.check(x2)
     p = ring.field.p
@@ -224,11 +236,13 @@ def cross_check_criterion(ring: Ring, n: int) -> CrossCheckReport:
     """Compare `degree_n_existence` with `brute_force_exists` on every
     ordered pair of distinct elements of `ring`.  `disagreements` must
     come back empty; anything else is a bug in one of the two."""
-    size = _checked_size(ring, n)
-    work = size * (size - 1) * size ** (n - 1)
+    tuples = _row_tuples(ring, n)
+    # p^k <= 2^16 once the row tuples pass, so size <= 2^256.
+    size = ring.field.p ** (ring.k * ring.k)
+    work = size * (size - 1) * ring.k * tuples
     if work > MAX_CROSS_CHECK_WORK:
         raise DomainError(
-            f"cross-check needs {work} pair-tuple checks, above the limit of "
+            f"cross-check walks {work} row tuples, above the limit of "
             f"{MAX_CROSS_CHECK_WORK} (MAX_CROSS_CHECK_WORK)"
         )
     records = []

@@ -38,6 +38,8 @@ TIMEOUT = 120
 
 ACCEPTANCE = ("tests/test_acceptance.py",)
 LINALG = ("tests/test_linalg.py",)
+EXISTENCE = ("tests/test_existence.py",)
+ORACLE = ("tests/test_oracle.py",)
 
 
 class Mutant(NamedTuple):
@@ -107,6 +109,53 @@ MUTANTS = (
     Mutant("solve_2x2_transposed_particular", "linalg.py",
            "((s0, 0), (s1, 0)) if col == 0 else ((0, s0), (0, s1))",
            "((s0, s1), (0, 0)) if col == 0 else ((0, 0), (s0, s1))", LINALG),
+    # The oracle's budget: the row tuples a search walks per row,
+    # p^(k(n-1)), and a cross-check's ordered pairs x k x that count; the
+    # ring-size cap belongs to enumerate_ring alone.
+    Mutant("row_tuples_exponent", "oracle.py",
+           'ring.k * (n - 1), "{} row tuples per row"', 'ring.k * n, "{} row tuples per row"',
+           ORACLE),
+    Mutant("cross_check_work_k_factor", "oracle.py",
+           "work = size * (size - 1) * ring.k * tuples", "work = size * (size - 1) * tuples",
+           ORACLE),
+    Mutant("search_ring_size_cap", "oracle.py",
+           "    _row_tuples(ring, n)\n    ring.check(x1)",
+           '    _row_tuples(ring, n)\n    _capped_power(ring.field.p, ring.k * ring.k, '
+           '"ring has {} elements")\n    ring.check(x1)', ORACLE),
+    # The oracle's search and witness.
+    Mutant("search_membership_checks", "oracle.py",
+           "    ring.check(x1)\n    ring.check(x2)\n", "", ORACLE),
+    Mutant("search_ladder_from_power_rows", "oracle.py",
+           "    p = x.field.p\n    ladder = [x._rows]\n",
+           "    from .matrices import _power_rows\n    return _power_rows(x, n)\n", ORACLE),
+    Mutant("search_first_hit_of_row_0", "oracle.py",
+           "firsts.append(_digits(first, len(rows), n - 1))",
+           "firsts.append(firsts[0] if firsts else _digits(first, len(rows), n - 1))", ORACLE),
+    Mutant("search_row_counts_summed", "oracle.py", "count *= hits", "count += hits", ORACLE),
+    Mutant("witness_rows_reversed", "oracle.py",
+           "for digits in zip(*firsts))", "for digits in zip(*firsts[::-1]))", ORACLE),
+    # The shared a0, the referee and the pair memo.
+    Mutant("constant_term_x_n_negated", "existence.py",
+           "acc = [[-lead * v for v in row]", "acc = [[lead * v for v in row]", ORACLE),
+    Mutant("referee_unreduced_mod_p", "rings.py",
+           '        if ring.field.kind == "prime":\n'
+           "            rows = map(ring.field.reduce_row, rows)\n", "", EXISTENCE),
+    Mutant("pair_memo_slot_shared", "existence.py",
+           "return tuple(ladder1), tuple(blocks), m, []",
+           'return tuple(ladder1), tuple(blocks), m, _difference_columns.__dict__.setdefault('
+           '"slot", [])', EXISTENCE),
+    Mutant("pair_memo_whole_rank", "existence.py",
+           "r1 = outcome.rank_first", "r1 = outcome.rank", EXISTENCE),
+    # The elimination and matrix equality.
+    Mutant("rref_pivot_search_one_row_down", "linalg.py",
+           "for r in range(top, nrows) if work[r][col]",
+           "for r in range(top + 1, nrows) if work[r][col]", LINALG),
+    Mutant("solve_pivot_scaling", "linalg.py",
+           "y[c] = tuple(a * (den // row[c]) for a in row[split:])",
+           "y[c] = tuple(a for a in row[split:])", LINALG),
+    Mutant("matrix_eq_always_true", "matrices.py",
+           "        return (\n            isinstance(other, Matrix)",
+           "        return True or (\n            isinstance(other, Matrix)", LINALG),
 )
 
 

@@ -424,7 +424,8 @@ def test_cross_check_ignores_pretty(monkeypatch, capsys):
     assert run_cli(monkeypatch, capsys, ["cross-check", "--pretty"], doc) == plain
 
 
-@pytest.mark.parametrize("k, p, n", [(1, 65521, 2), (2, 5, 2), (10000, 3, 2), (2, 3, 30000000)])
+@pytest.mark.parametrize("k, p, n", [(1, 65521, 2), (2, 5, 2), (10000, 3, 2), (2, 3, 30000000),
+                                     (2, 2, 7)])
 def test_cross_check_over_a_work_limit_exits_65(monkeypatch, capsys, k, p, n):
     doc = {"ring": {"kind": "matrix", "k": k, "field": {"kind": "prime", "p": p}}, "n": n}
     code, out, err = run_cli(monkeypatch, capsys, ["cross-check"], doc)

@@ -14,6 +14,7 @@ from ringroots import (
     brute_force_exists,
     cross_check_criterion,
     enumerate_ring,
+    degree_n_existence,
     quadratic_existence,
 )
 from ringroots import matrices, oracle, rings
@@ -21,6 +22,8 @@ from ringroots.existence import MAX_DEGREE
 from ringroots.oracle import MAX_CROSS_CHECK_WORK, MAX_ENUMERATION
 
 from helpers import F2, F3, M2F2, M2Q, QI
+
+M2F3 = MatrixRing(2, F3)
 
 
 def test_enumeration_size_and_uniqueness():
@@ -95,13 +98,16 @@ def test_brute_force_count_matches_solver_dimension():
 
 
 def test_brute_force_cap():
-    with pytest.raises(DomainError):
-        brute_force_exists(M2F2.one, M2F2.zero, 6, M2F2)
+    # The search walks p^(k(n-1)) row tuples per row: 4^5 for M_2(F_2) at
+    # n = 6, under the cap, and 2^18 at n = 10, above it.
+    assert brute_force_exists(M2F2.one, M2F2.zero, 6, M2F2).count == 2**16
+    with pytest.raises(DomainError, match="^2\\^18 row tuples per row, above the cap of 65536$"):
+        brute_force_exists(M2F2.one, M2F2.zero, 10, M2F2)
 
 
 def test_cross_check_work_over_the_limit_is_rejected_before_the_first_pair():
-    # ordered pairs x coefficient tuples: 65521*65520*65521 over F_65521
-    # and 625*624*625 over M_2(F_5); both rings pass the size cap
+    # ordered pairs x k x row tuples: 65521*65520*1*65521 over F_65521
+    # and 625*624*2*25 over M_2(F_5); both pass the row-tuple cap
     for ring in (MatrixRing(1, PrimeField(65521)), MatrixRing(2, PrimeField(5))):
         with pytest.raises(DomainError, match="MAX_CROSS_CHECK_WORK"):
             cross_check_criterion(ring, 2)
@@ -111,21 +117,36 @@ def test_cross_check_caps_are_decided_before_anything_is_built(monkeypatch):
     def fail(*args):
         raise AssertionError("called before the caps were decided")
 
-    # 2^17 tuples per pair fail the tuple cap; 2 * 1 * 2^17 pass the work cap
+    # 2^17 row tuples per row fail the row-tuple cap; 2 * 1 * 2^17 would
+    # pass the work cap
     monkeypatch.setattr(oracle, "degree_n_existence", fail)
-    with pytest.raises(DomainError, match="^131072 coefficient tuples, above the cap of 65536$"):
+    with pytest.raises(DomainError, match="^2\\^17 row tuples per row, above the cap of 65536$"):
         cross_check_criterion(MatrixRing(1, F2), 18)
-    # F_65521 passes the ring-size cap and fails the work cap; building
+    # F_65521 passes the row-tuple cap and fails the work cap; building
     # its elements would have to call _raw
     monkeypatch.setattr(oracle, "_raw", fail)
     with pytest.raises(DomainError, match="MAX_CROSS_CHECK_WORK"):
         cross_check_criterion(MatrixRing(1, PrimeField(65521)), 2)
 
 
-def test_cross_check_work_limit_admits_the_small_censuses():
-    # M_2(F_2) at n = 2, 3, 4 and M_2(F_3) at n = 2
-    for size, n in ((16, 2), (16, 3), (16, 4), (81, 2)):
-        assert size * (size - 1) * size ** (n - 1) <= MAX_CROSS_CHECK_WORK
+def test_cross_check_work_limit_admits_the_small_censuses(monkeypatch):
+    # The work is ordered pairs x k rows x p^(k(n-1)) row tuples:
+    # 240 * 2 * 4^(n-1) over M_2(F_2) and 6480 * 2 * 9^(n-1) over M_2(F_3).
+    class Admitted(Exception):
+        pass
+
+    def admitted(ring):
+        raise Admitted
+
+    monkeypatch.setattr(oracle, "enumerate_ring", admitted)
+    for ring, n in ((M2F2, 2), (M2F2, 3), (M2F2, 4), (M2F2, 5), (M2F2, 6), (M2F3, 2)):
+        with pytest.raises(Admitted):
+            cross_check_criterion(ring, n)
+    for ring, n, work in ((M2F2, 7, 1_966_080), (M2F3, 3, 1_049_760)):
+        assert work > MAX_CROSS_CHECK_WORK
+        with pytest.raises(DomainError, match=f"^cross-check walks {work} row tuples, above "
+                                              f"the limit of {MAX_CROSS_CHECK_WORK} "):
+            cross_check_criterion(ring, n)
 
 
 def test_ring_size_is_decided_without_building_the_power():
@@ -307,3 +328,90 @@ def test_brute_force_rejects_a_root_outside_the_ring(monkeypatch, foreign):
     for x1, x2 in ((foreign, x), (x, foreign)):
         with pytest.raises(MismatchError):
             brute_force_exists(x1, x2, 2, M2F2)
+
+
+# The first three rank-one pairs x2 = x1 + u v^T over F_2 of M_3(F_2) and
+# of M_4(F_2) with no polynomial of degree k: from random.Random(7), one
+# generator per ring, each draw takes x1 row by row, then u, then v, all
+# by randrange(2), and skips x1 = x2 and pairs the criterion answers at
+# degree k.  They came at draws 5, 6, 7 of M_3(F_2) and 1, 4, 6 of
+# M_4(F_2).
+RANK_ONE_PAIRS = [
+    ([[0, 1, 1], [0, 0, 1], [1, 1, 1]], [[1, 0, 1], [0, 0, 1], [1, 1, 1]]),
+    ([[0, 1, 1], [1, 1, 1], [0, 1, 1]], [[0, 1, 1], [1, 1, 1], [0, 1, 0]]),
+    ([[0, 0, 1], [1, 1, 0], [0, 1, 1]], [[1, 1, 0], [1, 1, 0], [1, 0, 0]]),
+    ([[1, 0, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]],
+     [[1, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]]),
+    ([[1, 1, 0, 0], [1, 1, 1, 1], [1, 0, 1, 1], [0, 0, 1, 0]],
+     [[1, 1, 0, 0], [0, 0, 0, 1], [1, 0, 1, 1], [0, 0, 1, 0]]),
+    ([[1, 1, 1, 0], [0, 1, 1, 1], [1, 1, 0, 1], [1, 0, 0, 0]],
+     [[1, 1, 1, 0], [1, 1, 1, 1], [1, 1, 0, 1], [1, 0, 0, 0]]),
+]
+
+
+@pytest.mark.parametrize("x1, x2", RANK_ONE_PAIRS, ids=[f"pair{i}" for i in range(6)])
+def test_rank_one_pairs_first_have_a_polynomial_at_degree_k_plus_one(x1, x2):
+    # The least degree is k + 1: the search finds nothing for n = 2..k and
+    # 2^(k^2 (k-1)) polynomials at k + 1 (2^18 over M_3, 2^48 over M_4,
+    # where the search walks 16^4 = MAX_ENUMERATION row tuples per row).
+    k = len(x1)
+    ring = MatrixRing(k, F2)
+    x1, x2 = ring.element(x1), ring.element(x2)
+    for n in range(2, k + 2):
+        report = degree_n_existence(x1, x2, n)
+        brute = brute_force_exists(x1, x2, n, ring)
+        assert report.exists == brute.exists == (n == k + 1)
+        assert brute.count == (2**report.solution_space_dim if report.exists else 0)
+    assert brute.count == 2 ** (k * k * (k - 1))
+
+
+def _element(ring, rng):
+    return ring.element([[rng.randrange(ring.field.p) for _ in range(ring.k)]
+                         for _ in range(ring.k)])
+
+
+@pytest.mark.parametrize("k, p, degrees, pairs", [
+    (3, 2, (2, 3, 4, 5), 40),
+    (4, 2, (2, 3, 4), 40),
+    (3, 3, (2, 3), 30),
+    (2, 5, (2, 3), 30),
+    (5, 2, (2, 3), 30),
+], ids=["M3F2", "M4F2", "M3F3", "M2F5", "M5F2"])
+def test_search_agrees_with_the_criterion_past_the_ring_size_cap(k, p, degrees, pairs):
+    # Seeded pairs, each x2 uniform or x1 plus a rank-one u v^T, of rings
+    # whose searches the old cap on p^(k^2 (n-1)) matrix tuples refused at
+    # n >= 3 (at every n for M_5(F_2), whose 2^25 elements it also
+    # refused); the search and the criterion agree on each, and the count
+    # is p^solution_space_dim.
+    ring = MatrixRing(k, PrimeField(p))
+    rng = random.Random(f"oracle-reach/{k}/{p}")
+    verdicts = set()
+    for n in degrees:
+        for _ in range(pairs):
+            x1 = _element(ring, rng)
+            if rng.randrange(2):
+                x2 = _element(ring, rng)
+            else:
+                u, v = rng.choices(range(p), k=k), rng.choices(range(p), k=k)
+                x2 = x1 + ring.element([[a * b for b in v] for a in u])
+            if x1 == x2:
+                continue
+            report = degree_n_existence(x1, x2, n)
+            brute = brute_force_exists(x1, x2, n, ring)
+            assert report.exists == brute.exists
+            assert brute.count == (p**report.solution_space_dim if report.exists else 0)
+            verdicts.add(report.exists)
+    assert verdicts == {False, True}
+
+
+def test_row_tuple_cap_is_decided_before_any_table_is_built(monkeypatch):
+    # M_17(F_2) at n = 2 would walk 2^17 row tuples per row.
+    def fail(*args):
+        raise AssertionError("built before the row-tuple cap was decided")
+
+    ring = MatrixRing(17, F2)
+    for name in ("_row_vectors", "_ladder"):
+        monkeypatch.setattr(oracle, name, fail)
+    monkeypatch.setattr(ring, "check", fail)
+    with pytest.raises(DomainError, match="^2\\^17 row tuples per row, above the cap of 65536$"):
+        brute_force_exists(ring.one, ring.zero, 2, ring)
