@@ -10,14 +10,15 @@ particular solution off the pivot rows, with no RREF matrix built, and
 the rank of the first unknown block's columns; ``rank`` is a thin read
 of it, the number of pivots of a matrix's rows.
 
-One shape takes no elimination: a system of k = 2 rows with one unknown
-block, C*Y = R with C and R 2 x 2, is read off det(C) by
-``_solve_2x2``.  ``_solve_blocks`` picks it from the blocks' shape
-alone, with no option.  It is the paper's quadratic criterion over M_2
-(n = 2), every j of the direct construction at k = 2, and the inverse in
-M_2.  It gives the outcome the elimination gives, pivot rule and free
-variables included; the brute-force oracle and the evaluation referee
-share no code with it, so they still check every answer it returns.
+One shape takes no elimination: a system of k = 2 rows with one
+unknown block, C*Y = R with C and R 2 x 2 and C != 0, is read off
+det(C) by ``_solve_2x2``; C = 0 is left to the elimination.
+``_solve_blocks`` picks it from the blocks alone, with no option.  It is
+the paper's quadratic criterion over M_2 (n = 2), every j of the direct
+construction at k = 2, and the inverse in M_2.  It gives the outcome the
+elimination gives, pivot rule and free variables included; the
+brute-force oracle and the evaluation referee share no code with it, so
+they still check every answer it returns.
 """
 
 from __future__ import annotations
@@ -90,11 +91,12 @@ def _solve_blocks(field, blocks, dens) -> StackedSolveOutcome:
     R by c, which moves no rank, pivot or free variable, passes c / c_j.
     An all-zero block is the canonical zero payload, with no ``normalize``.
 
-    With k = 2 rows and one unknown block the outcome is read off det(C)
-    by ``_solve_2x2`` instead; every other shape runs the elimination.
+    With k = 2 rows and one unknown block and C != 0 the outcome is read
+    off det(C) by ``_solve_2x2`` instead; every other system runs the
+    elimination.
     """
-    if len(blocks) == 2 and len(blocks[1]) == 2:
-        return _solve_2x2(field, *blocks, dens[0])
+    if len(blocks) == 2 and len(blocks[1]) == 2 and (solved := _solve_2x2(field, *blocks, dens[0])):
+        return solved
     # Each row mod p over F_p, where the elimination needs residues; over
     # Q divided by its content, which changes no solution.
     work = [field.reduce_row(list(chain.from_iterable(parts))) for parts in zip(*blocks)]
@@ -120,7 +122,7 @@ def _solve_blocks(field, blocks, dens) -> StackedSolveOutcome:
     return StackedSolveOutcome(True, parts, dim, rk, len(pivots), first)
 
 
-def _solve_2x2(field, c, r, d: int) -> StackedSolveOutcome:
+def _solve_2x2(field, c, r, d: int) -> StackedSolveOutcome | None:
     """`_solve_blocks` for C*Y = R with C = [[c0, c1], [c2, c3]] and R =
     [[r0, r1], [r2, r3]] int rows, by the determinant: the same outcome
     as the elimination, Y coming back as the matrix Y^T / d.  Over F_p
@@ -132,7 +134,7 @@ def _solve_2x2(field, c, r, d: int) -> StackedSolveOutcome:
       with f the other row's entry there, the system is consistent when
       pv*R[other] - f*R[pivot] = 0.  Row col of Y, col the pivot's
       column, is then R[pivot] / pv, and the free row is zero.
-    - C = 0: rank 0, the augmented rank is rank(R), and Y = 0 when R = 0.
+    - C = 0: None, and ``_solve_blocks`` runs the elimination.
 
     Over Q a negative det(C) or pv moves its sign to the numerators, as
     ``normalize`` takes a positive denominator."""
@@ -154,13 +156,7 @@ def _solve_2x2(field, c, r, d: int) -> StackedSolveOutcome:
     elif c1 or c3:
         col, u, v = 1, c1, c3
     else:
-        det = r0 * r3 - r1 * r2
-        if p:
-            det %= p
-        ra = 2 if det else 1 if r0 or r1 or r2 or r3 else 0
-        if ra:
-            return StackedSolveOutcome(False, None, 4, 0, ra, 0)
-        return StackedSolveOutcome(True, (_raw(field, ((0, 0), (0, 0)), 1),), 4, 0, 0, 0)
+        return None
     # The pivot row is the first with a nonzero entry in column col.
     pv, f, s0, s1, t0, t1 = (u, v, r0, r1, r2, r3) if u else (v, 0, r2, r3, r0, r1)
     e0, e1 = pv * t0 - f * s0, pv * t1 - f * s1

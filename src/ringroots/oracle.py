@@ -18,6 +18,13 @@ cross-check's whole census of them; only `enumerate_ring` counts the
 ring's elements, so a pair of a ring too large to list, M_5(F_2) say,
 is searched all the same.
 
+One rule orders all that the search walks: ``_extend`` appends a digit
+to a counter of vectors whose last digit counts fastest, the order of
+`enumerate_ring`.  A row table grows by one row of D_i at a time, a
+target row's residuals by one prefix table at a time, and the prefix
+rows that name those residuals come in the same order, so the first hit
+is the first working tuple, carried as row vectors and never as an index.
+
 At k = 2, the shape of every census the caps admit above k = 1,
 the ladder's x * x^i and the row tables' v * D_i are written out entry
 by entry in those two places, not taken from a helper the criterion or
@@ -41,8 +48,9 @@ from .scalars import PrimeField
 # the search walks per row of a pair, p^(k*(n-1)); more raises
 # DomainError (exit 65).  M_4(F_2) is listed whole, and searched up to
 # n = 5 (exactly 2^16 row tuples per row).  The row tables add at most
-# (n - 1) * p^k <= (n - 1) * p^(k*(n-1)) entries, so the costliest pair
-# admitted, M_16(F_2) at n = 2, takes about a second.
+# (n - 1) * p^k <= (n - 1) * p^(k*(n-1)) entries, each an earlier entry
+# plus a multiple of one row of D_i, so the costliest pair admitted,
+# M_16(F_2) at n = 2, takes about a third of a second.
 MAX_ENUMERATION = 65536
 
 # Most row tuples one cross-check may walk: ordered pairs times the k
@@ -78,12 +86,11 @@ def _row_tuples(ring: Ring, n: int) -> int:
     return _capped_power(_prime_order(ring), ring.k * (n - 1), "{} row tuples per row")
 
 
-def _digits(index: int, base: int, count: int) -> list[int]:
-    """The `count` base-`base` digits of index, most significant first."""
-    digits = [0] * count
-    for i in reversed(range(count)):
-        index, digits[i] = divmod(index, base)
-    return digits
+def _extend(vectors: list, steps: list, p: int) -> list[tuple[int, ...]]:
+    """Every v + s mod p, v from `vectors` outer and s from `steps`
+    inner: one more digit of a counter that counts its last digit
+    fastest, `enumerate_ring`'s order."""
+    return [tuple([(a + b) % p for a, b in zip(v, s)]) for v in vectors for s in steps]
 
 
 def _row_vectors(ring: MatrixRing) -> list[tuple[int, ...]]:
@@ -139,16 +146,19 @@ def brute_force_exists(x1: Matrix, x2: Matrix, n: int, ring: MatrixRing) -> Brut
     as int rows mod p; a0 cancels from that difference and is then forced
     by x1, so `count` is the number of such polynomials.  Row r of a D_i
     is a[r] D_i, so the k rows of the equation are searched apart and
-    `count` is the product of their hit counts.  For row r, each prefix
-    (a_1[r], ..., a_{n-2}[r]) of row vectors, in digit-counting order,
-    leaves one residual that is looked up among the p^k row products
-    a_{n-1}[r] D_{n-1}; a row with no hit ends the search with count 0.
-    The rows being independent, row r of each a_i from row r's first hit
-    gives the first working tuple in `enumerate_ring` order.  Matrices
-    are built only for that witness and its a0, summed from x1's ladder,
-    and the full polynomial is then checked at both roots.  At k = 2 each
-    table entry v D_i is written out entry by entry, D_i = [[d0, d1],
-    [d2, d3]] read off its columns.
+    `count` is the product of their hit counts.  Each table lists the
+    p^k row products v D_i, v in digit-counting order: at k = 2 written
+    out entry by entry, D_i = [[d0, d1], [d2, d3]] read as rows, and
+    otherwise grown by ``_extend``, one row d of D_i and its multiples
+    c d at a time.  For row r, ``_extend`` subtracts the prefix tables
+    from the target row, giving one residual per prefix (a_1[r], ...,
+    a_{n-2}[r]) of row vectors in digit-counting order, and each residual
+    is looked up in the last table, of the a_{n-1}[r] D_{n-1}; a row with
+    no hit ends the search with count 0.  The rows being independent,
+    row r of each a_i from row r's first hit gives the first working
+    tuple in `enumerate_ring` order.  Matrices are built only for that
+    witness and its a0, summed from x1's ladder, and the full polynomial
+    is then checked at both roots.
     """
     _row_tuples(ring, n)
     ring.check(x1)
@@ -158,31 +168,36 @@ def brute_force_exists(x1: Matrix, x2: Matrix, n: int, ring: MatrixRing) -> Brut
     ladder1, ladder2 = _ladder(x1, n), _ladder(x2, n)
     tables = []
     for power1, power2 in zip(ladder1[:-1], ladder2[:-1]):
-        cols = [[(b - a) % p for a, b in zip(c1, c2)] for c1, c2 in zip(zip(*power1), zip(*power2))]
-        if len(cols) == 2:
-            (d0, d2), (d1, d3) = cols
+        diff = [[(b - a) % p for a, b in zip(r1, r2)] for r1, r2 in zip(power1, power2)]
+        if len(diff) == 2:
+            (d0, d1), (d2, d3) = diff
             tables.append([((v0 * d0 + v1 * d2) % p, (v0 * d1 + v1 * d3) % p) for v0, v1 in rows])
             continue
-        tables.append([tuple([sum(map(mul, v, col)) % p for col in cols]) for v in rows])
+        table = [(0,) * ring.k]
+        for d in diff:
+            table = _extend(table, [[c * e for e in d] for c in range(p)], p)
+        tables.append(table)
     last = tables.pop()
+    negated = [[[-e for e in entry] for entry in table] for table in tables]
 
     count = 1
     firsts = []
     for row1, row2 in zip(ladder1[-1], ladder2[-1]):
-        target = [(a - b) % p for a, b in zip(row1, row2)]
-        hits = first = 0
-        for prefix_index, terms in enumerate(itertools.product(*tables)):
-            residual = tuple((t - sum(e)) % p for t, *e in zip(target, *terms))
+        residuals = [tuple([(a - b) % p for a, b in zip(row1, row2)])]
+        for steps in negated:
+            residuals = _extend(residuals, steps, p)
+        hits = 0
+        for prefix, residual in zip(itertools.product(rows, repeat=n - 2), residuals):
             found = last.count(residual)
             if found and not hits:
-                first = prefix_index * len(rows) + last.index(residual)
+                first = (*prefix, rows[last.index(residual)])
             hits += found
         if not hits:
             return BruteForceResult(None, None, 0)
         count *= hits
-        firsts.append(_digits(first, len(rows), n - 1))
+        firsts.append(first)
 
-    witness = tuple(_raw(ring.field, tuple(rows[d] for d in digits), 1) for digits in zip(*firsts))
+    witness = tuple(_raw(ring.field, vectors, 1) for vectors in zip(*firsts))
     a0 = _ladder_constant_term(witness, x1, ladder1)
     _assert_annihilates(ring, (a0, *witness, ring.one), (x1, x2))
     return BruteForceResult(witness, a0, count)

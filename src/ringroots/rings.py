@@ -30,8 +30,6 @@ from .scalars import (
 class Ring:
     """Shared surface: identities, validation, invertibility, JSON."""
 
-    kind = ""
-
     @property
     def zero(self):
         raise NotImplementedError
@@ -118,8 +116,6 @@ def _assert_annihilates(ring: Ring, coeffs, roots):
 class ScalarRing(Ring):
     """A field viewed as a (commutative) ring."""
 
-    kind = "field"
-
     def __init__(self, field):
         self.field = field
 
@@ -159,7 +155,6 @@ class ScalarRing(Ring):
 class MatrixRing(Ring):
     """Square k x k matrices over a field."""
 
-    kind = "matrix"
     _values = staticmethod(matrices._values)
 
     def __init__(self, k: int, field):
@@ -228,7 +223,6 @@ def _matrix_ring(k: int, field) -> MatrixRing:
 class QuaternionRing(Ring):
     """Quaternions with rational components; every nonzero element is a unit."""
 
-    kind = "quaternion"
     zero = ZERO
     one = ONE
     _values = staticmethod(quaternions._values)

@@ -129,11 +129,19 @@ MUTANTS = (
            "    p = x.field.p\n    ladder = [x._rows]\n",
            "    from .matrices import _power_rows\n    return _power_rows(x, n)\n", ORACLE),
     Mutant("search_first_hit_of_row_0", "oracle.py",
-           "firsts.append(_digits(first, len(rows), n - 1))",
-           "firsts.append(firsts[0] if firsts else _digits(first, len(rows), n - 1))", ORACLE),
+           "firsts.append(first)", "firsts.append(firsts[0] if firsts else first)", ORACLE),
     Mutant("search_row_counts_summed", "oracle.py", "count *= hits", "count += hits", ORACLE),
     Mutant("witness_rows_reversed", "oracle.py",
-           "for digits in zip(*firsts))", "for digits in zip(*firsts[::-1]))", ORACLE),
+           "for vectors in zip(*firsts))", "for vectors in zip(*firsts[::-1]))", ORACLE),
+    # The one digit-counting rule, oracle._extend, behind the k != 2 row
+    # tables and every prefix's residual.
+    Mutant("extend_step_multiple_dropped", "oracle.py",
+           "[[c * e for e in d] for c in range(p)]", "[[e for e in d] for c in range(p)]",
+           ORACLE),
+    Mutant("extend_digit_order_swapped", "oracle.py",
+           "for v in vectors for s in steps]", "for s in steps for v in vectors]", ORACLE),
+    Mutant("extend_residual_steps_not_negated", "oracle.py",
+           "[[-e for e in entry]", "[[e for e in entry]", ORACLE),
     # The shared a0, the referee and the pair memo.
     Mutant("constant_term_x_n_negated", "existence.py",
            "acc = [[-lead * v for v in row]", "acc = [[lead * v for v in row]", ORACLE),

@@ -404,6 +404,20 @@ def test_search_agrees_with_the_criterion_past_the_ring_size_cap(k, p, degrees, 
     assert verdicts == {False, True}
 
 
+def test_costliest_admitted_pair_agrees_with_the_criterion():
+    # M_16(F_2) at n = 2 walks 2^16 = MAX_ENUMERATION row tuples per row,
+    # the most the cap admits, from a table of 2^16 sixteen-entry rows.
+    # This seed draws an invertible x1 - x2, so all 16 rows have a hit and
+    # the witness goes through the referee.
+    ring = MatrixRing(16, F2)
+    rng = random.Random("oracle-cost/2")
+    x1, x2 = _element(ring, rng), _element(ring, rng)
+    report = degree_n_existence(x1, x2, 2)
+    brute = brute_force_exists(x1, x2, 2, ring)
+    assert report.exists and brute.exists
+    assert brute.count == 2**report.solution_space_dim
+
+
 def test_row_tuple_cap_is_decided_before_any_table_is_built(monkeypatch):
     # M_17(F_2) at n = 2 would walk 2^17 row tuples per row.
     def fail(*args):
